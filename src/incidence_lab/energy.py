@@ -10,15 +10,14 @@ deterministic for any thread count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceError, InputError, ParameterError
-from .pointsets import PointSet, gen_valtr
+from .incidence import _map_row_chunks
+from .pointsets import PointSet, difference_classes, gen_valtr
 
-_CHUNK = 2048
 _MAX_GROUPED_CELLS = 50_000_000
 
 
@@ -51,37 +50,25 @@ def _grouped_pair_sum(P: PointSet, s: float) -> float | None:
     cells = math.prod(2 * k - 1 for k in P.grid_shape)
     if cells > _MAX_GROUPED_CELLS:
         return None
-    axes = [np.arange(-(k - 1), k, dtype=np.int64) for k in P.grid_shape]
-    grids = np.meshgrid(*axes, indexing="ij")
-    steps = [float(h) for h in P.grid_steps]
+    grids, mult = difference_classes(P.grid_shape)
     r2 = np.zeros(grids[0].shape, dtype=np.float64)
-    mult = np.ones(grids[0].shape, dtype=np.float64)
-    for g, k, h in zip(grids, P.grid_shape, steps):
-        r2 += (g * h) ** 2
-        mult *= k - np.abs(g)
+    for g, h in zip(grids, P.grid_steps):
+        r2 += (g * float(h)) ** 2
     nonzero = r2 > 0.0
     return float((mult[nonzero] * np.power(r2[nonzero], -s / 2.0)).sum())
 
 
 def _brute_pair_sum(pts: np.ndarray, s: float, threads: int) -> float:
-    n = len(pts)
-
-    def one(i0):
-        block = pts[i0 : i0 + _CHUNK]
+    def one(rows):
+        block = pts[rows]
         diff = pts[None, :, :] - block[:, None, :]
         r2 = np.einsum("ijk,ijk->ij", diff, diff)
-        rows = np.arange(len(block))
-        r2[rows, i0 + rows] = np.inf  # p = q contributes 0
+        local = np.arange(len(block))
+        r2[local, rows.start + local] = np.inf  # p = q contributes 0
         with np.errstate(divide="ignore"):
             return float(np.power(r2, -s / 2.0).sum())
 
-    starts = list(range(0, n, _CHUNK))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(one, starts))
-    else:
-        partials = [one(i0) for i0 in starts]
-    return math.fsum(partials)
+    return math.fsum(_map_row_chunks(one, len(pts), threads))
 
 
 def adaptability_sum(P: PointSet, s: float, threads: int = 1) -> EnergyReport:

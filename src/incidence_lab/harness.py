@@ -140,7 +140,8 @@ def _run_valtr_incidence(d, ladder, threads):
 
 
 def _run_falconer_ratio(d, s, ladder, threads):
-    ladder = ladder or {2: [4, 8, 16, 32], 3: [4, 8, 16]}[d]
+    # below n = 64 at d = 2 the decaying near-miss share masks the growth
+    ladder = ladder or {2: [64, 128, 256, 512], 3: [4, 8, 16]}[d]
     pts = []
     for n in ladder:
         rec = falconer_measure_ratio(n, d, s)

@@ -1,10 +1,11 @@
 """Incidence counting engines.
 
 Three counters: exact on-surface incidences for the Valtr grid against
-translates of the paraboloid body (pure integer arithmetic, with an O(N^2)
-brute-force oracle), thickness-eps annulus incidences for arbitrary point
-sets (bucketed grid and brute methods that agree exactly), and the measure
-ratio that drives the thickened-distance-band growth experiment.
+translates of the paraboloid body, thickness-eps annulus incidences for
+arbitrary point sets (bucketed grid and brute methods that agree exactly),
+and the measure ratio that drives the thickened-distance-band growth
+experiment. The first and the last share one difference-class kernel in
+pure integer arithmetic, with an O(N^2) brute-force oracle for tests.
 
 All pair counts are over ordered pairs.
 """
@@ -14,12 +15,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import CapacityError, InputError, ParameterError
 from .gauge import LOWER, PARABOLOID_BODY, RIDGE, UPPER, Gauge, gauge_values
-from .pointsets import PointSet, gen_valtr
+from .pointsets import PointSet, difference_classes
 
 ALL_CAPS = (UPPER, LOWER, RIDGE)
 
@@ -28,7 +30,7 @@ ALL_CAPS = (UPPER, LOWER, RIDGE)
 # with the flattest point at |x'|^2 = 1/2. Used for conservative prefilters.
 _PB_INNER = math.sqrt(3.0) / 2.0
 
-_BRUTE_CHUNK = 2048
+_CHUNK_ROWS = 2048
 _MAX_GRID_CELLS = 20_000_000
 _MAX_OCCUPIED_CELLS = 20_000
 
@@ -56,31 +58,39 @@ def _validate_caps(caps) -> tuple[str, ...]:
     return caps
 
 
-def _exact_valtr_cap_sums(n: int, d: int) -> tuple[int, int]:
-    """(incidences per open cap, ridge incidences) for the Valtr grid.
+def _valtr_band_counts(n: int, d: int, eps: float) -> tuple[int, int]:
+    """Ordered pairs of the Valtr grid whose difference has paraboloid gauge
+    in the closed band [1, h], h = 1 + eps taken as an exact rational; split
+    into (last-axis gap 0, last-axis gap nonzero).
 
-    Enumerates head index differences D' in [-(n-1), n-1]^(d-1). With
-    S = |D'|^2, a pair lies on the upper cap iff its tail difference is
-    n^2 - S > 0, which happens for exactly prod_j(n - |D_j|) * S ordered
-    pairs; the ridge needs S = n^2 and tail difference 0.
+    A difference (D'/n, A/n^2) with S = |D'|^2 and a = |A| has gauge >= 1
+    iff S + a >= n^2, and gauge <= h iff S + h*a <= h^2 n^2. The admissible
+    gaps of one head class therefore form the integer interval
+    max(0, n^2 - S) <= a <= floor((h^2 n^2 - S) / h), and last-axis pairs
+    with gap a number n^2 for a = 0 and 2(n^2 - a) for 0 < a < n^2. Head
+    classes are grouped by S and every interval is decided in Python
+    integers, so the count is exact for every n and eps.
     """
     cells = (2 * n - 1) ** (d - 1)
     if cells > _MAX_GRID_CELLS:
         raise CapacityError(f"{cells} difference classes exceed the exact-path limit")
-    if (d - 1) * n ** (d + 1) * (2 * n) ** (d - 1) >= 2**62:
-        raise CapacityError("pair counts would overflow the int64 accumulator")
-    rng = np.arange(-(n - 1), n, dtype=np.int64)
-    grids = np.meshgrid(*([rng] * (d - 1)), indexing="ij")
-    s = grids[0] * grids[0]
-    mult = n - np.abs(grids[0])
-    for g in grids[1:]:
-        s = s + g * g
-        mult = mult * (n - np.abs(g))
+    grids, mult = difference_classes((n,) * (d - 1))
+    s_vals, inverse = np.unique(sum(g * g for g in grids).ravel(), return_inverse=True)
+    s_mult = np.zeros(len(s_vals), dtype=np.int64)
+    np.add.at(s_mult, inverse.ravel(), mult.ravel())
+    h = 1 + Fraction(eps)
+    p, q = h.numerator, h.denominator
     n2 = n * n
-    on_cap = s < n2
-    per_cap = int((mult[on_cap] * s[on_cap]).sum())
-    ridge = n2 * int(mult[s == n2].sum())
-    return per_cap, ridge
+    ridge = off_ridge = 0
+    for s, m in zip(s_vals.tolist(), s_mult.tolist()):
+        lo = max(0, n2 - s)
+        hi = min(n2 - 1, (p * p * n2 - s * q * q) // (p * q))
+        if lo == 0 and hi >= 0:
+            ridge += m * n2
+            lo = 1
+        if lo <= hi:
+            off_ridge += m * (hi - lo + 1) * (2 * n2 - lo - hi)
+    return ridge, off_ridge
 
 
 def _valtr_index_columns(n: int, d: int, dtype) -> list[np.ndarray]:
@@ -131,8 +141,8 @@ def exact_valtr_incidences(n: int, d: int, caps=ALL_CAPS, method: str = "exact_i
         raise ParameterError(f"d must be an integer >= 2, got {d!r}")
     caps = _validate_caps(caps)
     if method == "exact_integer":
-        per_cap, ridge = _exact_valtr_cap_sums(n, d)
-        by_cap = {UPPER: per_cap, LOWER: per_cap, RIDGE: ridge}
+        ridge, off_ridge = _valtr_band_counts(n, d, 0.0)
+        by_cap = {UPPER: off_ridge // 2, LOWER: off_ridge // 2, RIDGE: ridge}
     elif method == "brute":
         upper, lower, ridge = _brute_valtr_cap_counts(n, d)
         by_cap = {UPPER: upper, LOWER: lower, RIDGE: ridge}
@@ -167,16 +177,22 @@ def _band_count_block(g: Gauge, src: np.ndarray, tgt: np.ndarray, t: float, eps:
     return int(((v >= t) & (v <= hi)).sum())
 
 
-def _annulus_brute(pts: np.ndarray, g: Gauge, t: float, eps: float, threads: int) -> int:
-    starts = range(0, len(pts), _BRUTE_CHUNK)
-
-    def one(i0):
-        return _band_count_block(g, pts[i0 : i0 + _BRUTE_CHUNK], pts, t, eps)
-
+def _map_row_chunks(fn, n_rows: int, threads: int) -> list:
+    """fn(rows) for consecutive row slices of at most _CHUNK_ROWS rows,
+    returned in slice order; the slices run on a thread pool when
+    threads > 1."""
+    chunks = [slice(i0, min(i0 + _CHUNK_ROWS, n_rows)) for i0 in range(0, n_rows, _CHUNK_ROWS)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return sum(pool.map(one, starts))
-    return sum(one(i0) for i0 in starts)
+            return list(pool.map(fn, chunks))
+    return [fn(rows) for rows in chunks]
+
+
+def _annulus_brute(pts: np.ndarray, g: Gauge, t: float, eps: float, threads: int) -> int:
+    def one(rows):
+        return _band_count_block(g, pts[rows], pts, t, eps)
+
+    return sum(_map_row_chunks(one, len(pts), threads))
 
 
 def _annulus_grid(pts: np.ndarray, g: Gauge, t: float, eps: float) -> int:
@@ -253,37 +269,6 @@ def annulus_incidences(
     )
 
 
-def _valtr_band_count_grouped(n: int, d: int, t: float, eps: float) -> int:
-    """Annulus count for the Valtr set by difference classes.
-
-    Valid stand-in for pairwise enumeration only when n is a power of two:
-    then every coordinate and coordinate difference is an exact dyadic
-    float, so all pairs in one class share one gauge value.
-    """
-    n2 = n * n
-    rng = np.arange(-(n - 1), n, dtype=np.int64)
-    grids = np.meshgrid(*([rng] * (d - 1)), indexing="ij")
-    s = grids[0] * grids[0]
-    mult = n - np.abs(grids[0])
-    for g in grids[1:]:
-        s = s + g * g
-        mult = mult * (n - np.abs(g))
-    s = s.ravel()
-    mult = mult.ravel()
-    r2 = s.astype(np.float64) / n2  # |D'/n|^2
-    dd = np.arange(-(n2 - 1), n2, dtype=np.int64)
-    mult_d = (n2 - np.abs(dd)).astype(np.int64)
-    hi = t + eps
-    total = 0
-    step = max(1, _MAX_GRID_CELLS // max(1, len(s)))
-    for j0 in range(0, len(dd), step):
-        xd = np.abs(dd[j0 : j0 + step].astype(np.float64)) / n2
-        v = 0.5 * (xd[None, :] + np.sqrt(xd[None, :] ** 2 + 4.0 * r2[:, None]))
-        mask = (v >= t) & (v <= hi)
-        total += int((mult[:, None] * mult_d[None, j0 : j0 + step] * mask).sum())
-    return total
-
-
 @dataclass(frozen=True)
 class FalconerRatio:
     """Measure proxy for the thickened unit-distance band on the Valtr set."""
@@ -295,12 +280,14 @@ class FalconerRatio:
     ratio: float
 
 
-def falconer_measure_ratio(n: int, d: int, s: float, method: str = "auto") -> FalconerRatio:
+def falconer_measure_ratio(n: int, d: int, s: float) -> FalconerRatio:
     """With N = n^(d+1) and eps = N^(-1/s): band count at t = 1 against the
     paraboloid gauge, scaled by eps^(2s) = N^-2, and its ratio to eps.
 
     Band membership is evaluated on point differences (cube centers stand in
-    for the thickened cubes).
+    for the thickened cubes), in integer arithmetic on the exact rational
+    differences and the exact value of the float eps, so ``count`` is exact
+    for every n.
 
     ``count`` is the exact incidences (gauge exactly 1, equal to
     ``exact_valtr_incidences(n, d).count``) plus the near-miss pairs with
@@ -318,14 +305,6 @@ def falconer_measure_ratio(n: int, d: int, s: float, method: str = "auto") -> Fa
         raise ParameterError(f"s={s!r} outside [d/2, (d+1)/2) for d={d}")
     N = n ** (d + 1)
     eps = float(N) ** (-1.0 / s)
-    if method == "auto":
-        method = "classes" if (n & (n - 1)) == 0 else "brute"
-    if method == "classes":
-        count = _valtr_band_count_grouped(n, d, 1.0, eps)
-    elif method == "brute":
-        g = Gauge(PARABOLOID_BODY, d)
-        count = annulus_incidences(gen_valtr(n, d), g, 1.0, eps, method="brute").count
-    else:
-        raise ParameterError(f"unknown method {method!r}")
+    count = sum(_valtr_band_counts(n, d, eps))
     measure_lhs = count / (N * N)  # eps^(2s) * count, using eps^s = 1/N exactly
     return FalconerRatio(n_points=N, eps=eps, count=count, measure_lhs=measure_lhs, ratio=measure_lhs / eps)

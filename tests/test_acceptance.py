@@ -4,6 +4,7 @@ Run with: pytest tests/test_acceptance.py -v -s
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -257,6 +258,8 @@ def test_criterion_8_mattila_vs_lattice_crossover():
 
 def test_criterion_9_cli_determinism(tmp_path):
     t0 = time.time()
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argsets = [
         ["gen", "--generator", "valtr", "--n", "3", "--d", "2"],
         ["gen", "--generator", "mattila3", "--delta", "0.5", "--levels", "2", "--format", "json"],
@@ -277,6 +280,7 @@ def test_criterion_9_cli_determinism(tmp_path):
             proc = subprocess.run(
                 [sys.executable, "-m", "incidence_lab.cli"] + argv + ["--out", str(path)],
                 capture_output=True,
+                env=env,
             )
             assert proc.returncode in (0, 2), (argv, proc.stderr)
             outputs.append(path.read_bytes())

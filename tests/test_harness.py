@@ -88,6 +88,13 @@ class TestRunExperiment:
         series = run_experiment("falconer-ratio", d=2, s=1.4, ladder=[2, 4, 8])
         assert series.predicted == pytest.approx(1 / 1.4 - 2 / 3)
 
+    def test_falconer_ratio_default_ladder_grows(self):
+        series = run_experiment("falconer-ratio", d=2, s=1.4)
+        ratios = [v for _, v in series.points]
+        assert all(b > a for a, b in zip(ratios, ratios[1:])), ratios
+        assert series.fitted_slope > 0
+        assert series.verdict == "pass"
+
     def test_mattila2_records_crossover(self):
         series = run_experiment("mattila2-incidence", alpha=0.48, ladder=[1, 2, 3])
         params = dict(series.params)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from incidence_lab import (
     EUCLIDEAN,
     PARABOLOID_BODY,
+    CapacityError,
     Gauge,
     ParameterError,
     PointSet,
@@ -15,7 +17,6 @@ from incidence_lab import (
     gen_mattila2,
     gen_valtr,
 )
-from incidence_lab.incidence import _valtr_band_count_grouped
 
 
 def random_pointset(rng, dim, n, den=64):
@@ -149,27 +150,51 @@ class TestFalconerRatio:
         assert rec.ratio == pytest.approx(rec.measure_lhs / rec.eps, rel=1e-12)
 
     def test_grouped_equals_pairwise_brute_for_dyadic_n(self):
+        # for dyadic n every difference is an exact float, so the float
+        # pairwise count is exact too
+        g = Gauge(PARABOLOID_BODY, 2)
         for n in (2, 4, 8):
-            via_classes = falconer_measure_ratio(n, 2, 1.4, method="classes")
-            via_brute = falconer_measure_ratio(n, 2, 1.4, method="brute")
-            assert via_classes.count == via_brute.count
+            rec = falconer_measure_ratio(n, 2, 1.4)
+            brute = annulus_incidences(gen_valtr(n, 2), g, 1.0, rec.eps, "brute")
+            assert rec.count == brute.count, n
 
     def test_grouped_counter_against_exact_rational_oracle(self):
         # exact membership: t <= gauge <= t+e iff
         # r2 + t|xd| >= t^2 and r2 + (t+e)|xd| <= (t+e)^2
-        n, d, s = 4, 2, 1.4
-        eps = Fraction(float((n ** (d + 1)) ** (-1.0 / s)))
-        hi = 1 + eps
-        n2 = n * n
-        expected = 0
-        for dx in range(-(n - 1), n):
-            mult_x = n - abs(dx)
-            r2 = Fraction(dx * dx, n2)
-            for dd in range(-(n2 - 1), n2):
-                xd = Fraction(abs(dd), n2)
-                if r2 + xd >= 1 and r2 + hi * xd <= hi * hi:
-                    expected += mult_x * (n2 - abs(dd))
-        assert _valtr_band_count_grouped(n, d, 1.0, float(eps)) == expected
+        for d, n, s in [(2, n, 1.4) for n in range(1, 13)] + [(3, n, 1.6) for n in range(1, 7)]:
+            rec = falconer_measure_ratio(n, d, s)
+            hi = 1 + Fraction(rec.eps)
+            n2 = n * n
+            head = {}
+            for di in np.ndindex(*(2 * n - 1,) * (d - 1)):
+                D = [v - (n - 1) for v in di]
+                S = sum(v * v for v in D)
+                head[S] = head.get(S, 0) + int(np.prod([n - abs(v) for v in D]))
+            expected = 0
+            for S, mult in head.items():
+                r2 = Fraction(S, n2)
+                for dd in range(-(n2 - 1), n2):
+                    xd = Fraction(abs(dd), n2)
+                    if r2 + xd >= 1 and r2 + hi * xd <= hi * hi:
+                        expected += mult * (n2 - abs(dd))
+            assert rec.count == expected, (d, n)
+
+    @pytest.mark.parametrize("n", [128, 256, 512, 1024, 2048])
+    def test_no_near_miss_pairs_from_n128(self, n):
+        # eps = n^(-15/7) <= 1/(2n^2) leaves only the exact incidences in the
+        # band; n = 2048 has N^2 >= 2^63
+        assert falconer_measure_ratio(n, 2, 1.4).count == exact_valtr_incidences(n, 2).count
+
+    def test_class_limit_refused_before_allocating(self):
+        # 599^3 head classes exceed the exact-path limit
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                falconer_measure_ratio(300, 4, 2.2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_s_out_of_range(self):
         with pytest.raises(ParameterError):
