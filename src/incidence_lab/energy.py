@@ -42,18 +42,25 @@ class MonteCarloEstimate:
 
 
 def _grouped_pair_sum(P: PointSet, s: float) -> float | None:
-    """Riesz pair sum via difference classes of a uniform product grid; the
-    class multiplicity along axis j with count k is k - |D_j|. Returns None
-    when P is not a grid or the class space is too large."""
-    if P.grid_shape is None or P.grid_steps is None:
+    """Riesz pair sum via difference classes of a product of evenly spaced
+    axes; the class multiplicity along axis j with count k is k - |D_j|.
+    Returns None when P is not such a product or the class space is too
+    large."""
+    if P.axes is None:
         return None
-    cells = math.prod(2 * k - 1 for k in P.grid_shape)
-    if cells > _MAX_GROUPED_CELLS:
+    steps = []
+    for ax, den in zip(P.axes, P.denominators):
+        gaps = {b - a for a, b in zip(ax, ax[1:])}
+        if len(gaps) > 1:
+            return None
+        steps.append(gaps.pop() / den if gaps else 0.0)
+    shape = [len(ax) for ax in P.axes]
+    if math.prod(2 * k - 1 for k in shape) > _MAX_GROUPED_CELLS:
         return None
-    grids, mult = difference_classes(P.grid_shape)
+    grids, mult = difference_classes(shape)
     r2 = np.zeros(grids[0].shape, dtype=np.float64)
-    for g, h in zip(grids, P.grid_steps):
-        r2 += (g * float(h)) ** 2
+    for g, h in zip(grids, steps):
+        r2 += (g * h) ** 2
     nonzero = r2 > 0.0
     return float((mult[nonzero] * np.power(r2[nonzero], -s / 2.0)).sum())
 

@@ -83,9 +83,8 @@ def ff_sphere(q: int, d: int, t: int) -> FFSet:
     return FFSet(q=q, dim=d, indicator=(total % q) == (t % q))
 
 
-def ff_paraboloid(q: int, d: int, full_square_sum: bool = False) -> FFSet:
-    """{x in F_q^d : x_d = x_1^2 + ... + x_{d-1}^2}; with ``full_square_sum``
-    the right side also includes x_d^2 (a variant kept for comparison)."""
+def ff_paraboloid(q: int, d: int) -> FFSet:
+    """{x in F_q^d : x_d = x_1^2 + ... + x_{d-1}^2}."""
     _validate_field(q, d)
     if d < 2:
         raise ParameterError("the paraboloid needs dim >= 2")
@@ -93,8 +92,6 @@ def ff_paraboloid(q: int, d: int, full_square_sum: bool = False) -> FFSet:
     rhs = np.zeros((q,) * d, dtype=np.int64)
     for g in grids[:-1]:
         rhs += g * g
-    if full_square_sum:
-        rhs += grids[-1] * grids[-1]
     return FFSet(q=q, dim=d, indicator=(rhs % q) == grids[-1])
 
 

@@ -86,36 +86,21 @@ class CrossoverReport:
     inside_validity_window: bool
 
 
-def _mattila_set(dim: int, alpha: float | None, delta: float | None, level: int):
-    if dim == 2:
-        return gen_mattila2(alpha, level)
-    return gen_mattila3(delta, level)
+def _mattila_s(dim: int, param: float) -> float:
+    """Target dimension: 1 + alpha in dim 2, 2 - 3*delta/2 in dim 3."""
+    return 1.0 + param if dim == 2 else 2.0 - 1.5 * param
 
 
-def mattila_lattice_crossover(
-    dim: int,
-    level: int,
-    alpha: float | None = None,
-    delta: float | None = None,
-    threads: int = 1,
-) -> CrossoverReport:
-    """Compare measured annulus incidences (radius 1, thickness N^(-1/s))
-    of the Mattila-type set at ``level`` against the lattice total N * a at
-    the nearest perfect-power size."""
-    if dim == 2:
-        if alpha is None:
-            raise ParameterError("dim 2 crossover needs alpha")
-        s = 1.0 + alpha
-    elif dim == 3:
-        if delta is None:
-            raise ParameterError("dim 3 crossover needs delta")
-        s = 2.0 - 1.5 * delta
-    else:
-        raise ParameterError(f"dim must be 2 or 3, got {dim!r}")
-    pset = _mattila_set(dim, alpha, delta, level)
-    n_pts = pset.n_points
-    eps = n_pts ** (-1.0 / s)
-    count = annulus_incidences(pset, Gauge(EUCLIDEAN, dim), 1.0, eps, threads=threads).count
+def _mattila_count(dim: int, param: float, level: int, s: float, threads: int) -> tuple[int, int]:
+    """Point count and annulus incidences (radius 1, thickness N^(-1/s)) of
+    the Mattila-type set at ``level``."""
+    pset = gen_mattila2(param, level) if dim == 2 else gen_mattila3(param, level)
+    eps = pset.n_points ** (-1.0 / s)
+    rep = annulus_incidences(pset, Gauge(EUCLIDEAN, dim), 1.0, eps, threads=threads)
+    return pset.n_points, rep.count
+
+
+def _crossover_report(dim: int, s: float, n_pts: int, count: int) -> CrossoverReport:
     k = round(n_pts ** (1.0 / dim))
     lattice_n = k**dim
     lat = lattice_incidence_total(dim, lattice_n, s)
@@ -131,6 +116,25 @@ def mattila_lattice_crossover(
         predicted_mattila_wins=predicted,
         inside_validity_window=lat.valid,
     )
+
+
+def mattila_lattice_crossover(
+    dim: int,
+    level: int,
+    alpha: float | None = None,
+    delta: float | None = None,
+    threads: int = 1,
+) -> CrossoverReport:
+    """Compare measured annulus incidences (radius 1, thickness N^(-1/s))
+    of the Mattila-type set at ``level`` against the lattice total N * a at
+    the nearest perfect-power size."""
+    if dim not in (2, 3):
+        raise ParameterError(f"dim must be 2 or 3, got {dim!r}")
+    name, param = ("alpha", alpha) if dim == 2 else ("delta", delta)
+    if param is None:
+        raise ParameterError(f"dim {dim} crossover needs {name}")
+    s = _mattila_s(dim, param)
+    return _crossover_report(dim, s, *_mattila_count(dim, param, level, s, threads))
 
 
 def _run_valtr_incidence(d, ladder, threads):
@@ -164,51 +168,35 @@ def _run_valtr_energy(d, s, ladder, threads):
     return pts, 0.0, TWO_SIDED, {"d": d, "s": s, "ladder_n": ladder}
 
 
-def _mattila_series(dim, alpha, delta, ladder, threads):
-    s = 1.0 + alpha if dim == 2 else 2.0 - 1.5 * delta
+def _run_mattila_incidence(dim, param, ladder, threads):
+    ladder = ladder or [1, 2, 3, 4]
+    s = _mattila_s(dim, param)
     pts = []
     for level in ladder:
-        pset = _mattila_set(dim, alpha, delta, level)
-        eps = pset.n_points ** (-1.0 / s)
-        rep = annulus_incidences(pset, Gauge(EUCLIDEAN, dim), 1.0, eps, threads=threads)
-        pts.append((pset.n_points, float(rep.count)))
-    return pts, s
-
-
-def _run_mattila2_incidence(alpha, ladder, threads):
-    ladder = ladder or [1, 2, 3, 4]
-    pts, s = _mattila_series(2, alpha, None, ladder, threads)
-    cross = mattila_lattice_crossover(2, ladder[-1], alpha=alpha, threads=threads)
+        n_pts, count = _mattila_count(dim, param, level, s, threads)
+        pts.append((n_pts, float(count)))
+    # the crossover is taken at the top rung, whose count is already known
+    cross = _crossover_report(dim, s, n_pts, count)
+    if dim == 2:
+        predicted = 1.0 + 1.0 / (2.0 * s)
+    else:
+        alpha = 1.0 - param
+        predicted = 1.0 + alpha / (2.0 * alpha + param / 2.0)
     extra = {
-        "alpha": alpha,
+        "alpha" if dim == 2 else "delta": param,
         "s": s,
         "ladder_levels": ladder,
         "crossover_mattila_wins": cross.mattila_wins,
         "crossover_predicted": cross.predicted_mattila_wins,
         "crossover_valid_window": cross.inside_validity_window,
     }
-    return pts, 1.0 + 1.0 / (2.0 * s), TWO_SIDED, extra
-
-
-def _run_mattila3_incidence(delta, ladder, threads):
-    ladder = ladder or [1, 2, 3, 4]
-    pts, s = _mattila_series(3, None, delta, ladder, threads)
-    alpha = 1.0 - delta
-    beta = delta / 2.0
-    cross = mattila_lattice_crossover(3, ladder[-1], delta=delta, threads=threads)
-    extra = {
-        "delta": delta,
-        "s": s,
-        "ladder_levels": ladder,
-        "crossover_mattila_wins": cross.mattila_wins,
-        "crossover_predicted": cross.predicted_mattila_wins,
-        "crossover_valid_window": cross.inside_validity_window,
-    }
-    return pts, 1.0 + alpha / (2.0 * alpha + beta), TWO_SIDED, extra
+    return pts, predicted, TWO_SIDED, extra
 
 
 def _run_lattice_incidence(dim, s, ladder, threads):
     ladder = ladder or {2: [20, 40, 80, 160], 3: [7, 10, 13, 16]}[dim]
+    # dim 3 needs s > 3/2; 1.9 = 2 - 3/2 * (1/15) is the mattila3 default
+    s = (1.9 if dim == 3 else 1.48) if s is None else s
     pts = []
     valid = None
     for k in ladder:
@@ -271,11 +259,11 @@ def run_experiment(
     elif experiment == "valtr-energy":
         out = _run_valtr_energy(d or 2, 1.2 if s is None else s, ladder, threads)
     elif experiment == "mattila2-incidence":
-        out = _run_mattila2_incidence(0.48 if alpha is None else alpha, ladder, threads)
+        out = _run_mattila_incidence(2, 0.48 if alpha is None else alpha, ladder, threads)
     elif experiment == "mattila3-incidence":
-        out = _run_mattila3_incidence(1.0 / 15.0 if delta is None else delta, ladder, threads)
+        out = _run_mattila_incidence(3, 1.0 / 15.0 if delta is None else delta, ladder, threads)
     elif experiment == "lattice-incidence":
-        out = _run_lattice_incidence(dim or 2, 1.48 if s is None else s, ladder, threads)
+        out = _run_lattice_incidence(dim or 2, s, ladder, threads)
     elif experiment == "gauss-discrepancy":
         out = _run_gauss_discrepancy(dim or 2, ladder, threads)
     elif experiment == "ff-sharpness":

@@ -77,16 +77,6 @@ def _count_le_int(t2: int, dim: int) -> int:
     return total
 
 
-def _count_le_frac(t2: Fraction, dim: int) -> int:
-    if t2 < 0:
-        return 0
-    if t2.denominator == 1:
-        return _count_le_int(t2.numerator, dim)
-    # an exact rational threshold is only ever hit when floor(t2) is,
-    # because |z|^2 is an integer
-    return _count_le_int(math.floor(t2), dim)
-
-
 def ball_count(dim: int, R) -> LatticeCountReport:
     """Exact number of integer points z with |z| <= R, plus the discrepancy
     against the ball volume."""
@@ -97,43 +87,13 @@ def ball_count(dim: int, R) -> LatticeCountReport:
         raise ParameterError(f"R must be nonnegative, got {R!r}")
     if float(r_frac) > _MAX_RADIUS[dim]:
         raise CapacityError(f"R={R!r} exceeds the dim-{dim} limit {_MAX_RADIUS[dim]}")
-    count = _count_le_frac(r_frac * r_frac, dim)
+    # |z|^2 is an integer, so |z|^2 <= R^2 iff |z|^2 <= floor(R^2)
+    count = _count_le_int(math.floor(r_frac * r_frac), dim)
     r = float(r_frac)
     volume = math.pi * r * r if dim == 2 else 4.0 / 3.0 * math.pi * r**3
     return LatticeCountReport(
         dim=dim, radius=r, count=count, volume_term=volume, discrepancy=count - volume
     )
-
-
-def _count_lt_frac(t2: Fraction, dim: int) -> int:
-    """#(z with |z|^2 < t2)."""
-    if t2 <= 0:
-        return 0
-    below = _count_le_frac(t2, dim)
-    if t2.denominator == 1 and dim == 2:
-        below -= _boundary_count2(t2.numerator)
-    elif t2.denominator == 1 and dim == 3:
-        below -= _boundary_count3(t2.numerator)
-    return below
-
-
-def _boundary_count2(t2: int) -> int:
-    x_max = math.isqrt(t2)
-    total = 0
-    for x in range(-x_max, x_max + 1):
-        rem = t2 - x * x
-        y = math.isqrt(rem)
-        if y * y == rem:
-            total += 1 if y == 0 else 2
-    return total
-
-
-def _boundary_count3(t2: int) -> int:
-    x_max = math.isqrt(t2)
-    total = 0
-    for x in range(-x_max, x_max + 1):
-        total += _boundary_count2(t2 - x * x)
-    return total
 
 
 def shell_count(dim: int, R, w, include_inner_boundary: bool = True) -> int:
@@ -151,10 +111,11 @@ def shell_count(dim: int, R, w, include_inner_boundary: bool = True) -> int:
     hi = r_frac + w_frac
     if float(hi) > _MAX_RADIUS[dim]:
         raise CapacityError(f"R+w={float(hi)} exceeds the dim-{dim} limit")
-    outer = _count_le_frac(hi * hi, dim)
-    if include_inner_boundary:
-        return outer - _count_lt_frac(r_frac * r_frac, dim)
-    return outer - _count_le_frac(r_frac * r_frac, dim)
+    # |z|^2 is an integer: |z|^2 <= t2 iff |z|^2 <= floor(t2), and
+    # |z|^2 < t2 iff |z|^2 <= ceil(t2) - 1
+    r2 = r_frac * r_frac
+    inner = math.ceil(r2) - 1 if include_inner_boundary else math.floor(r2)
+    return _count_le_int(math.floor(hi * hi), dim) - _count_le_int(inner, dim)
 
 
 def lattice_incidence_total(dim: int, N: int, s: float) -> LatticeIncidenceTotal:

@@ -36,18 +36,19 @@ class PointSet:
     """A finite set of d-dimensional points with exact rational coordinates.
 
     ``numerators[i][j] / denominators[j]`` is coordinate j of point i. All
-    points lie in [-1, 1]^dim and are pairwise distinct. ``grid_shape`` and
-    ``grid_steps`` are set when the points form a full uniform product grid
-    (used by fast counting paths); ``s_dim`` records the dimension parameter
-    a construction targets, when it has one.
+    points lie in [-1, 1]^dim and are pairwise distinct. A set that is the
+    full Cartesian product of its axes is built from ``axes`` instead: the
+    strictly increasing numerators of each axis, from which ``numerators``
+    is derived in ``itertools.product`` order, so rows and structure cannot
+    disagree. ``s_dim`` records the dimension parameter a construction
+    targets, when it has one.
     """
 
     dim: int
     denominators: tuple[int, ...]
-    numerators: tuple[tuple[int, ...], ...]
+    numerators: tuple[tuple[int, ...], ...] | None = None
     label: str = "custom"
-    grid_shape: tuple[int, ...] | None = None
-    grid_steps: tuple[Fraction, ...] | None = None
+    axes: tuple[tuple[int, ...], ...] | None = None
     s_dim: float | None = None
 
     def __post_init__(self):
@@ -57,6 +58,11 @@ class PointSet:
             raise InputError("one denominator per axis is required")
         if any(den <= 0 for den in self.denominators):
             raise InputError("denominators must be positive")
+        if self.axes is not None:
+            self._expand_axes()
+            return
+        if self.numerators is None:
+            raise InputError("numerators or axes is required")
         if len(self.numerators) > MAX_POINTS:
             raise CapacityError(f"{len(self.numerators)} points exceeds MAX_POINTS={MAX_POINTS}")
         for row in self.numerators:
@@ -67,11 +73,24 @@ class PointSet:
                     raise InputError(f"coordinate {num}/{den} lies outside [-1, 1]")
         if len(set(self.numerators)) != len(self.numerators):
             raise InputError("duplicate points are not allowed")
-        if self.grid_shape is not None:
-            if len(self.grid_shape) != self.dim or math.prod(self.grid_shape) != len(self.numerators):
-                raise InputError("grid_shape inconsistent with the point count")
-            if self.grid_steps is None or len(self.grid_steps) != self.dim:
-                raise InputError("grid_shape requires one grid step per axis")
+
+    def _expand_axes(self) -> None:
+        if self.numerators is not None:
+            raise InputError("pass numerators or axes, not both")
+        axes = tuple(tuple(ax) for ax in self.axes)
+        if len(axes) != self.dim:
+            raise InputError("one axis per dimension is required")
+        for ax, den in zip(axes, self.denominators):
+            if any(a >= b for a, b in zip(ax, ax[1:])):
+                raise InputError("axis numerators must be strictly increasing")
+            for num in ax[:1] + ax[-1:]:
+                if abs(num) > den:
+                    raise InputError(f"coordinate {num}/{den} lies outside [-1, 1]")
+        count = math.prod(len(ax) for ax in axes)
+        if count > MAX_POINTS:
+            raise CapacityError(f"{count} points exceeds MAX_POINTS={MAX_POINTS}")
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "numerators", tuple(itertools.product(*axes)))
 
     @property
     def n_points(self) -> int:
@@ -84,15 +103,23 @@ class PointSet:
         return tuple(self.coordinate(i, j) for j in range(self.dim))
 
     def to_floats(self) -> np.ndarray:
-        """Coordinates as an (n_points, dim) float64 array."""
-        cols = []
-        for j, den in enumerate(self.denominators):
-            nums = [row[j] for row in self.numerators]
-            if den < 2**53 and all(abs(v) < 2**53 for v in nums):
-                cols.append(np.asarray(nums, dtype=np.float64) / den)
-            else:
-                cols.append(np.asarray([float(Fraction(v, den)) for v in nums]))
-        return np.stack(cols, axis=1) if cols else np.empty((0, 0))
+        """Coordinates as an (n_points, dim) float64 array; a product set
+        converts each axis once and expands the product."""
+        if self.axes is not None:
+            cols = np.meshgrid(*map(_column_floats, self.axes, self.denominators), indexing="ij")
+        else:
+            cols = [
+                _column_floats([row[j] for row in self.numerators], den)
+                for j, den in enumerate(self.denominators)
+            ]
+        return np.stack([col.ravel() for col in cols], axis=1)
+
+
+def _column_floats(nums, den: int) -> np.ndarray:
+    """Correctly rounded float64 values of nums[i] / den."""
+    if den < 2**53 and all(abs(v) < 2**53 for v in nums):
+        return np.asarray(nums, dtype=np.float64) / den
+    return np.asarray([float(Fraction(v, den)) for v in nums], dtype=np.float64)
 
 
 def _check_size(count: int, what: str) -> None:
@@ -121,18 +148,11 @@ def gen_valtr(n: int, d: int) -> PointSet:
     if not (isinstance(d, int) and d >= 2):
         raise ParameterError(f"d must be an integer >= 2, got {d!r}")
     _check_size(n ** (d + 1), f"gen_valtr(n={n}, d={d})")
-    head = range(n)
-    tail = range(1, n * n + 1)
-    rows = tuple(itertools.product(*([head] * (d - 1) + [tail])))
-    dens = (n,) * (d - 1) + (n * n,)
-    steps = (Fraction(1, n),) * (d - 1) + (Fraction(1, n * n),)
     return PointSet(
         dim=d,
-        denominators=dens,
-        numerators=rows,
+        denominators=(n,) * (d - 1) + (n * n,),
+        axes=(range(n),) * (d - 1) + (range(1, n * n + 1),),
         label="valtr",
-        grid_shape=(n,) * (d - 1) + (n * n,),
-        grid_steps=steps,
     )
 
 
@@ -166,15 +186,7 @@ def gen_lattice(k: int, d: int) -> PointSet:
     if not (isinstance(d, int) and d >= 1):
         raise ParameterError(f"d must be a positive integer, got {d!r}")
     _check_size(k**d, f"gen_lattice(k={k}, d={d})")
-    rows = tuple(itertools.product(range(k), repeat=d))
-    return PointSet(
-        dim=d,
-        denominators=(k,) * d,
-        numerators=rows,
-        label="lattice",
-        grid_shape=(k,) * d,
-        grid_steps=(Fraction(1, k),) * d,
-    )
+    return PointSet(dim=d, denominators=(k,) * d, axes=(range(k),) * d, label="lattice")
 
 
 def _rationalize_ratio(value: float) -> Fraction:
@@ -248,13 +260,10 @@ def gen_mattila2(alpha: float, levels: int) -> PointSet:
     xs = [c - 1 for c in centers] + centers
     den_x = 2 * params.ratio.denominator**levels
     x_nums = _common_denominator_column(xs, den_x)
-    den_y = 2 * grid
-    y_nums = [2 * k + 1 for k in range(grid)]
-    rows = tuple((nx, ny) for nx in x_nums for ny in y_nums)
     return PointSet(
         dim=2,
-        denominators=(den_x, den_y),
-        numerators=rows,
+        denominators=(den_x, 2 * grid),
+        axes=(x_nums, range(1, 2 * grid, 2)),
         label="mattila2",
         s_dim=1.0 + alpha,
     )
@@ -276,11 +285,10 @@ def gen_mattila3(delta: float, levels: int) -> PointSet:
     den_b = 2 * pb.ratio.denominator**levels
     a_nums = _common_denominator_column(ca, den_a)
     b_nums = _common_denominator_column(cb, den_b)
-    rows = tuple((nx, ny, nz) for nx in a_nums for ny in a_nums for nz in b_nums)
     return PointSet(
         dim=3,
         denominators=(den_a, den_a, den_b),
-        numerators=rows,
+        axes=(a_nums, a_nums, b_nums),
         label="mattila3",
         s_dim=2.0 * alpha + beta,
     )

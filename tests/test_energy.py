@@ -10,9 +10,11 @@ from incidence_lab import (
     energy_decomposition,
     gen_lattice,
     gen_lenz,
+    gen_mattila2,
+    gen_mattila3,
     gen_valtr,
 )
-from incidence_lab.energy import ball_bound_constant
+from incidence_lab.energy import _grouped_pair_sum, ball_bound_constant
 
 # high-sample quadrature oracle for the unit-square inverse-distance self
 # energy, computed once with scipy.integrate.dblquad (abs err < 1e-11):
@@ -20,7 +22,7 @@ from incidence_lab.energy import ball_bound_constant
 CUBE_ENERGY_2D_S1 = 2.973209598247
 
 
-def strip_grid(pset):
+def strip_axes(pset):
     return PointSet(
         dim=pset.dim,
         denominators=pset.denominators,
@@ -50,18 +52,33 @@ class TestAdaptabilitySum:
             label="custom",
         )
         s = 1.3
-        full = adaptability_sum(strip_grid(p), s).lambda_s
+        full = adaptability_sum(strip_axes(p), s).lambda_s
         half = adaptability_sum(halved, s).lambda_s
         assert half == pytest.approx(2**s * full, rel=1e-10)
 
     def test_grouped_equals_brute(self):
-        for pset, s in [(gen_valtr(3, 2), 1.2), (gen_valtr(2, 3), 1.7), (gen_lattice(4, 3), 1.1)]:
+        cases = [
+            (gen_valtr(3, 2), 1.2),
+            (gen_valtr(2, 3), 1.7),
+            (gen_lattice(4, 3), 1.1),
+            # two-value axes are evenly spaced, so these take the grouped path
+            (gen_mattila3(0.4, 1), 1.3),
+            (gen_mattila2(0.5, 0), 1.3),
+        ]
+        for pset, s in cases:
+            assert _grouped_pair_sum(pset, s) is not None
             grouped = adaptability_sum(pset, s).lambda_s
-            brute = adaptability_sum(strip_grid(pset), s).lambda_s
+            brute = adaptability_sum(strip_axes(pset), s).lambda_s
             assert grouped == pytest.approx(brute, rel=1e-12)
 
+    def test_grouped_path_needs_evenly_spaced_axes(self):
+        assert _grouped_pair_sum(strip_axes(gen_valtr(3, 2)), 1.2) is None
+        uneven = gen_mattila2(0.5, 1)  # x axis -7/8, -1/8, 1/8, 7/8
+        assert _grouped_pair_sum(uneven, 1.2) is None
+        assert adaptability_sum(uneven, 1.2).lambda_s == adaptability_sum(strip_axes(uneven), 1.2).lambda_s
+
     def test_threads_deterministic(self):
-        p = strip_grid(gen_valtr(3, 2))
+        p = strip_axes(gen_valtr(3, 2))
         assert adaptability_sum(p, 1.4, threads=2).lambda_s == adaptability_sum(p, 1.4).lambda_s
 
     def test_lenz_growth(self):

@@ -46,11 +46,6 @@ class TestVarieties:
                 size = ff_sphere(q, d, t).size
                 assert 1 - 2 / math.sqrt(q) <= size / q ** (d - 1) <= 1 + 2 / math.sqrt(q)
 
-    def test_full_square_sum_variant_differs(self):
-        plain = ff_paraboloid(5, 2)
-        variant = ff_paraboloid(5, 2, full_square_sum=True)
-        assert not np.array_equal(plain.indicator, variant.indicator)
-
     def test_prime_required(self):
         with pytest.raises(ParameterError):
             ff_sphere(6, 2, 1)

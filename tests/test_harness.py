@@ -73,6 +73,13 @@ class TestRunExperiment:
         params = dict(series.params)
         assert params["valid"] == "true"
 
+    def test_lattice_incidence_dim3_default_s(self):
+        # dim 3 needs s > 3/2, so the default s depends on dim
+        series = run_experiment("lattice-incidence", dim=3, ladder=[7, 10, 13])
+        params = dict(series.params)
+        assert params["s"] == "1.9"
+        assert series.predicted == pytest.approx(2 - 1 / 1.9)
+
     def test_gauss_discrepancy_upper_bound(self):
         series = run_experiment("gauss-discrepancy", dim=2, ladder=[64, 128, 256, 512, 1024])
         assert series.comparison == "upper_bound"
@@ -145,6 +152,18 @@ class TestCrossover:
     def test_missing_parameter(self):
         with pytest.raises(ParameterError):
             mattila_lattice_crossover(2, 2)
+
+    def test_scan_crossover_matches_public_report(self):
+        # the scan reuses its top rung's count instead of recounting it
+        for experiment, dim, kwargs in (
+            ("mattila2-incidence", 2, {"alpha": 0.48}),
+            ("mattila3-incidence", 3, {"delta": 1 / 15}),
+        ):
+            params = dict(run_experiment(experiment, ladder=[1, 2, 3], **kwargs).params)
+            rep = mattila_lattice_crossover(dim, 3, **kwargs)
+            assert params["crossover_mattila_wins"] == str(rep.mattila_wins).lower()
+            assert params["crossover_predicted"] == str(rep.predicted_mattila_wins).lower()
+            assert params["crossover_valid_window"] == str(rep.inside_validity_window).lower()
 
 
 class TestEmit:

@@ -16,6 +16,7 @@ from incidence_lab import (
     gen_mattila2,
     gen_mattila3,
     gen_valtr,
+    pointsets,
 )
 
 
@@ -233,9 +234,69 @@ class TestPointSetInvariants:
         with pytest.raises(InputError):
             PointSet(dim=1, denominators=(0,), numerators=((0,),))
 
-    def test_to_floats_exact_for_dyadic(self):
-        p = gen_valtr(4, 2)
-        arr = p.to_floats()
-        for i in range(p.n_points):
-            for j in range(2):
-                assert arr[i, j] == float(p.coordinate(i, j))
+    def test_to_floats_correctly_rounded(self):
+        for p in (
+            gen_valtr(4, 2),
+            gen_valtr(2, 3),
+            gen_lattice(3, 3),
+            gen_lenz(12),
+            gen_mattila2(0.48, 2),
+            gen_mattila3(1 / 15, 2),
+        ):
+            arr = p.to_floats()
+            assert arr.shape == (p.n_points, p.dim)
+            for i in range(p.n_points):
+                for j in range(p.dim):
+                    assert arr[i, j] == float(p.coordinate(i, j))
+
+
+class TestAxes:
+    def test_rows_are_the_product_of_the_axes(self):
+        p = PointSet(dim=2, denominators=(2, 3), axes=((-1, 1), (0, 2, 3)))
+        assert p.numerators == ((-1, 0), (-1, 2), (-1, 3), (1, 0), (1, 2), (1, 3))
+        assert p.axes == ((-1, 1), (0, 2, 3))
+
+    def test_generators_carry_axes(self):
+        p = gen_valtr(3, 2)
+        assert p.axes == ((0, 1, 2), tuple(range(1, 10)))
+        assert gen_lattice(2, 3).axes == ((0, 1),) * 3
+        assert gen_mattila2(0.5, 1).axes == ((-7, -1, 1, 7), (1, 3, 5, 7))
+        assert gen_mattila3(0.5, 0).axes == ((1,), (1,), (1,))
+        assert gen_lenz(8).axes is None
+
+    @pytest.fixture()
+    def no_rows(self, monkeypatch):
+        # the rows of an axes-built set come from itertools.product; make
+        # building them fail so every check below must come first
+        def no_product(*_):
+            raise AssertionError("rows built before the check")
+
+        monkeypatch.setattr(pointsets.itertools, "product", no_product)
+
+    def test_non_increasing_axis_rejected(self, no_rows):
+        for axis in ((0, 0), (1, 0)):
+            with pytest.raises(InputError):
+                PointSet(dim=1, denominators=(2,), axes=(axis,))
+
+    def test_out_of_range_axis_rejected(self, no_rows):
+        for axis in ((-3, 0), (0, 3)):
+            with pytest.raises(InputError):
+                PointSet(dim=1, denominators=(2,), axes=(axis,))
+
+    def test_numerators_and_axes_together_rejected(self, no_rows):
+        with pytest.raises(InputError):
+            PointSet(dim=1, denominators=(2,), numerators=((0,),), axes=((0,),))
+
+    def test_neither_numerators_nor_axes_rejected(self):
+        with pytest.raises(InputError):
+            PointSet(dim=1, denominators=(2,))
+
+    def test_wrong_number_of_axes_rejected(self, no_rows):
+        with pytest.raises(InputError):
+            PointSet(dim=2, denominators=(2, 2), axes=((0, 1),))
+
+    def test_product_over_max_points_rejected(self, no_rows):
+        with pytest.raises(CapacityError):
+            PointSet(dim=21, denominators=(1,) * 21, axes=((0, 1),) * 21)
+        with pytest.raises(CapacityError):
+            PointSet(dim=2, denominators=(2_000_000, 2), axes=(range(2_000_000), (0, 1)))
