@@ -345,7 +345,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", required=True, choices=["valtr-exact", "annulus", "falconer"])
     _add_generator_flags(p)
     p.add_argument("--caps", default=None, help="subset of upper,lower,ridge")
-    p.add_argument("--method", default=None, help="exact_integer|brute or brute|grid")
+    p.add_argument(
+        "--method", default=None, help="valtr-exact: exact_integer|brute; annulus: brute|grid|classes"
+    )
     p.add_argument("--norm", default="euclidean", choices=["euclidean", "paraboloid_body"])
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--eps", type=float, default=0.0)

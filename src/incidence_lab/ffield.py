@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InputError, ParameterError
+from .pointsets import difference_classes
 
 _MAX_CELLS = 50_000_000
 _PAIR_CHUNK = 512
@@ -154,9 +155,8 @@ def ff_pair_count(E: FFSet, gamma: FFSet, method: str = "brute"):
     raise ParameterError(f"unknown method {method!r}")
 
 
-def sharpness_set(q: int, delta: float, d: int) -> FFSet:
-    """The product E = A^(d-1) x B with A = {0, ..., floor(q^(1/2-delta))}
-    and B = {0, ..., floor((d-1) q^(1-2 delta))}, all as residues mod q."""
+def _sharpness_sides(q: int, delta: float, d: int) -> tuple[int, int]:
+    """(a_max, b_max) of the sharpness box, after checking its parameters."""
     _validate_field(q, d)
     if d < 2:
         raise ParameterError("sharpness_set needs dim >= 2")
@@ -168,6 +168,27 @@ def sharpness_set(q: int, delta: float, d: int) -> FFSet:
         raise ParameterError(
             f"(d-1) q^(1-2 delta) = {b_max} wraps around mod q = {q}; increase delta or q"
         )
+    return a_max, b_max
+
+
+def _sharpness_pair_count(q: int, d: int, a_max: int, b_max: int) -> int:
+    """Ordered pairs of the box {0..a_max}^(d-1) x {0..b_max} in F_q^d whose
+    difference lies on the paraboloid, by difference classes.
+
+    A head difference D in [-a_max, a_max]^(d-1) occurs prod(a_max+1-|D_j|)
+    times; with S = |D|^2, the last-axis gap e must be S mod q or
+    S mod q - q, since |e| <= b_max < q, and it occurs b_max+1-|e| times.
+    """
+    grids, mult = difference_classes((a_max + 1,) * (d - 1))
+    r = sum(g * g for g in grids) % q
+    weight = np.where(r <= b_max, b_max + 1 - r, 0) + np.where(q - r <= b_max, b_max + 1 - (q - r), 0)
+    return int((mult * weight).sum())
+
+
+def sharpness_set(q: int, delta: float, d: int) -> FFSet:
+    """The product E = A^(d-1) x B with A = {0, ..., floor(q^(1/2-delta))}
+    and B = {0, ..., floor((d-1) q^(1-2 delta))}, all as residues mod q."""
+    a_max, b_max = _sharpness_sides(q, delta, d)
     indicator = np.zeros((q,) * d, dtype=np.bool_)
     indicator[(slice(0, a_max + 1),) * (d - 1) + (slice(0, b_max + 1),)] = True
     return FFSet(q=q, dim=d, indicator=indicator)
@@ -178,6 +199,5 @@ def sharpness_ratio(q: int, delta: float, d: int) -> float:
     |E|^2 / q. Grows like q^(2 delta), defeating any uniform pair-count
     bound below the |E| ~ q^((d+1)/2) threshold."""
     e = sharpness_set(q, delta, d)
-    h = ff_paraboloid(q, d)
-    count = ff_pair_count(e, h, method="brute")
+    count = _sharpness_pair_count(q, d, *_sharpness_sides(q, delta, d))
     return count * q / e.size**2

@@ -2,10 +2,11 @@
 
 Three counters: exact on-surface incidences for the Valtr grid against
 translates of the paraboloid body, thickness-eps annulus incidences for
-arbitrary point sets (bucketed grid and brute methods that agree exactly),
-and the measure ratio that drives the thickened-distance-band growth
-experiment. The first and the last share one difference-class kernel in
-pure integer arithmetic, with an O(N^2) brute-force oracle for tests.
+arbitrary point sets (bucketed grid and brute methods that agree exactly,
+and an exact difference-class method for product sets), and the measure
+ratio that drives the thickened-distance-band growth experiment. The first
+and the last share one difference-class kernel in pure integer arithmetic,
+with an O(N^2) brute-force oracle for tests.
 
 All pair counts are over ordered pairs.
 """
@@ -13,6 +14,8 @@ All pair counts are over ordered pairs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, InputError, ParameterError
-from .gauge import LOWER, PARABOLOID_BODY, RIDGE, UPPER, Gauge, gauge_values
+from .gauge import EUCLIDEAN, LOWER, PARABOLOID_BODY, RIDGE, UPPER, Gauge, gauge_values
 from .pointsets import PointSet, difference_classes
 
 ALL_CAPS = (UPPER, LOWER, RIDGE)
@@ -33,6 +36,7 @@ _PB_INNER = math.sqrt(3.0) / 2.0
 _CHUNK_ROWS = 2048
 _MAX_GRID_CELLS = 20_000_000
 _MAX_OCCUPIED_CELLS = 20_000
+_MAX_PRODUCT_CLASSES = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -231,6 +235,83 @@ def _annulus_grid(pts: np.ndarray, g: Gauge, t: float, eps: float) -> int:
     return count
 
 
+def _axis_gaps(axis: tuple[int, ...]) -> dict[int, int]:
+    """|b - a| over the ordered pairs (a, b) of one axis, with
+    multiplicities: gap 0 occurs once per value and a positive gap twice
+    per unordered pair. An evenly spaced axis has the closed form m*step
+    with multiplicity 2(k - m); any other axis is enumerated, up to the
+    class limit."""
+    k = len(axis)
+    step = axis[1] - axis[0] if k > 1 else 0
+    if all(b - a == step for a, b in zip(axis, axis[1:])):
+        return {0: k} | {m * step: 2 * (k - m) for m in range(1, k)}
+    if k * (k - 1) // 2 > _MAX_PRODUCT_CLASSES:
+        raise CapacityError(f"an uneven axis of {k} values exceeds the exact-path limit")
+    pairs = Counter(b - a for i, a in enumerate(axis) for b in axis[i + 1 :])
+    return {0: k} | {gap: 2 * c for gap, c in pairs.items()}
+
+
+def _annulus_classes(P: PointSet, g: Gauge, t, eps) -> int:
+    """Ordered pairs of the product set P in the closed band
+    t <= ||q - p|| <= h, h = t + eps, with t and eps taken as exact
+    rationals.
+
+    The differences of a product set factor into per-axis gaps. The head
+    axes (all but the last) give r^2 = |x'|^2 = R/Q as an integer R over
+    Q = lcm(den_j^2), grouped by R. For each R the admissible gaps G of the
+    last axis (a = G/L, L its denominator) form an interval: t^2 <= r^2 + a^2 <= h^2 for the
+    Euclidean gauge, r^2 + t*a >= t^2 and r^2 + h*a <= h^2 for the
+    paraboloid body. Its ends are decided in Python integers and its
+    multiplicity is read from prefix sums, so no float is involved.
+    """
+    if P.axes is None:
+        raise ParameterError("method 'classes' needs a product set built from axes")
+    if g.kind not in (EUCLIDEAN, PARABOLOID_BODY):
+        raise ParameterError(f"method 'classes' does not support gauge {g.kind!r}")
+    *head_gaps, last_gaps = map(_axis_gaps, P.axes)
+    *head_dens, L = P.denominators
+    classes = math.prod(map(len, head_gaps))
+    if classes > _MAX_PRODUCT_CLASSES:
+        raise CapacityError(f"{classes} head difference classes exceed the exact-path limit")
+    Q = math.lcm(*(d * d for d in head_dens))
+    r2 = {0: 1}
+    for gaps, d in zip(head_gaps, head_dens):
+        scale = Q // (d * d)
+        squares = [(scale * gap * gap, mg) for gap, mg in gaps.items()]
+        nxt = defaultdict(int)
+        for r, m in r2.items():
+            for sq, mg in squares:
+                nxt[r + sq] += m * mg
+        r2 = nxt
+    gaps = sorted(last_gaps.items())
+    keys = [gap for gap, _ in gaps]
+    prefix = [0]
+    for _, m in gaps:
+        prefix.append(prefix[-1] + m)
+    lo_f, hi_f = Fraction(t), Fraction(t) + Fraction(eps)
+    tn, td = lo_f.numerator, lo_f.denominator
+    hn, hd = hi_f.numerator, hi_f.denominator
+    total = 0
+    for r, m in r2.items():
+        # (t^2 - r^2) = lo_num / (td^2 Q) and (h^2 - r^2) = hi_num / (hd^2 Q)
+        lo_num = tn * tn * Q - r * td * td
+        hi_num = hn * hn * Q - r * hd * hd
+        if hi_num < 0:
+            continue
+        if g.kind == EUCLIDEAN:
+            # a^2 >= t^2 - r^2 and a^2 <= h^2 - r^2, with a = G / L
+            need = -(-L * L * lo_num // (td * td * Q))
+            lo = math.isqrt(need - 1) + 1 if need > 0 else 0
+            hi = math.isqrt(L * L * hi_num // (hd * hd * Q))
+        else:
+            # a >= (t^2 - r^2) / t and a <= (h^2 - r^2) / h
+            lo = max(0, -(-L * lo_num // (td * Q * tn)))
+            hi = L * hi_num // (hd * Q * hn)
+        if lo <= hi:
+            total += m * (prefix[bisect_right(keys, hi)] - prefix[bisect_left(keys, lo)])
+    return total
+
+
 def annulus_incidences(
     P: PointSet,
     g: Gauge,
@@ -240,7 +321,13 @@ def annulus_incidences(
     threads: int = 1,
 ) -> IncidenceReport:
     """Ordered pairs (x, y), x != y, with t <= ||x - y|| <= t + eps (both
-    endpoints closed)."""
+    endpoints closed).
+
+    ``brute`` and ``grid`` evaluate the gauge in float64 on ``to_floats``
+    coordinates; ``classes`` counts a product set (one built from ``axes``)
+    by difference classes in exact integer arithmetic, with t and eps taken
+    as the exact rationals of their values. ``threads`` applies to
+    ``brute`` only."""
     if P.n_points == 0:
         raise InputError("empty point set")
     if g.dim != P.dim:
@@ -251,11 +338,12 @@ def annulus_incidences(
         raise ParameterError(f"eps must be nonnegative, got {eps!r}")
     if threads < 1:
         raise ParameterError("threads must be >= 1")
-    pts = P.to_floats()
     if method == "brute":
-        count = _annulus_brute(pts, g, float(t), float(eps), threads)
+        count = _annulus_brute(P.to_floats(), g, float(t), float(eps), threads)
     elif method == "grid":
-        count = _annulus_grid(pts, g, float(t), float(eps))
+        count = _annulus_grid(P.to_floats(), g, float(t), float(eps))
+    elif method == "classes":
+        count = _annulus_classes(P, g, t, eps)
     else:
         raise ParameterError(f"unknown method {method!r}")
     return IncidenceReport(

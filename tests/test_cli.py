@@ -66,6 +66,13 @@ class TestIncidence:
         lib = annulus_incidences(gen_mattila2(0.5, 1), Gauge(EUCLIDEAN, 2), 1.0, 0.25).count
         assert json.loads(out)["count"] == lib == 72
 
+    def test_annulus_classes(self, capsys):
+        code, out, _ = run(capsys, "incidence", "--mode", "annulus", "--generator", "lattice",
+                           "--k", "12", "--d", "2", "--t", "0.5", "--eps", "0.05", "--method", "classes")
+        obj = json.loads(out)
+        assert code == 0
+        assert (obj["count"], obj["method"]) == (1744, "classes")
+
     def test_falconer(self, capsys):
         code, out, _ = run(capsys, "incidence", "--mode", "falconer",
                            "--n", "2", "--d", "2", "--s", "1.4")

@@ -15,7 +15,7 @@ from incidence_lab import (
     sharpness_ratio,
     sharpness_set,
 )
-from incidence_lab.ffield import ff_inverse_at
+from incidence_lab.ffield import _sharpness_pair_count, _sharpness_sides, ff_inverse_at
 
 SMALL_FIELDS = [(q, d) for q in (3, 5, 7, 11, 13) for d in (2, 3)]
 
@@ -149,6 +149,23 @@ class TestSharpness:
         e = sharpness_set(101, 0.1, 2)
         h = ff_paraboloid(101, 2)
         assert ff_pair_count(e, h, method="brute") == 1617
+
+    @pytest.mark.parametrize("q", [11, 13, 101, 211])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_class_count_equals_brute(self, q, d):
+        checked = 0
+        for delta in (0.1, 0.15, 0.2, 0.25):
+            if (q, d, delta) == (211, 3, 0.1):
+                continue  # 3.3e7 pairs: 6 s of brute enumeration
+            try:
+                e = sharpness_set(q, delta, d)
+            except ParameterError:
+                continue
+            brute = ff_pair_count(e, ff_paraboloid(q, d), method="brute")
+            assert _sharpness_pair_count(q, d, *_sharpness_sides(q, delta, d)) == brute, delta
+            assert sharpness_ratio(q, delta, d) == brute * q / e.size**2
+            checked += 1
+        assert checked >= 2
 
     def test_ratio_value(self):
         assert sharpness_ratio(101, 0.1, 2) == pytest.approx(1617 * 101 / 287**2, rel=1e-12)

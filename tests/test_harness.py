@@ -116,6 +116,16 @@ class TestRunExperiment:
         alpha, beta = 1 - delta, delta / 2
         assert series.predicted == pytest.approx(1 + alpha / (2 * alpha + beta))
 
+    def test_mattila_counts_exact(self):
+        # exact closed-band counts; float64 put 32 pairs of mattila3 at
+        # squared distance 1 - 1.7e-18 into the band (736, 26752, 581632)
+        for experiment, kwargs, counts in (
+            ("mattila2-incidence", {"alpha": 0.48}, [84, 1500, 30684, 608216]),
+            ("mattila3-incidence", {"delta": 1 / 15}, [24, 704, 26240, 573440]),
+        ):
+            series = run_experiment(experiment, **kwargs)
+            assert [int(v) for _, v in series.points] == counts, experiment
+
     def test_valtr_energy_flat(self):
         series = run_experiment("valtr-energy", d=2, s=1.0, ladder=[4, 8, 16])
         assert series.predicted == 0.0

@@ -1,5 +1,7 @@
+import random
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from incidence_lab import (
     annulus_incidences,
     exact_valtr_incidences,
     falconer_measure_ratio,
+    gen_lattice,
     gen_mattila2,
+    gen_mattila3,
     gen_valtr,
 )
 
@@ -135,6 +139,104 @@ class TestAnnulus:
             annulus_incidences(p, g, 1.0, -0.1)
         with pytest.raises(ParameterError):
             annulus_incidences(p, Gauge(EUCLIDEAN, 3), 1.0, 0.1)
+
+
+def band_oracle(pset, kind, t, eps):
+    """Per-pair exact count of t <= ||q - p|| <= t + eps, and the number of
+    pairs exactly on either edge."""
+    lo, hi = Fraction(t), Fraction(t) + Fraction(eps)
+    pts = [pset.point(i) for i in range(pset.n_points)]
+    count = ties = 0
+    for p, q in product(pts, repeat=2):
+        x = [b - a for a, b in zip(p, q)]
+        if kind == EUCLIDEAN:
+            v = sum(c * c for c in x)
+            inside, edge = lo * lo <= v <= hi * hi, v in (lo * lo, hi * hi)
+        else:
+            r2, a = sum(c * c for c in x[:-1]), abs(x[-1])
+            inside = r2 + lo * a >= lo * lo and r2 + hi * a <= hi * hi
+            edge = r2 + lo * a == lo * lo or r2 + hi * a == hi * hi
+        count += inside
+        ties += inside and edge
+    return count, ties
+
+
+def random_product_set(rng, dim):
+    dens, axes = [], []
+    for _ in range(dim):
+        den = rng.choice([4, 5, 10, 12, 13, 20])
+        dens.append(den)
+        axes.append(sorted(rng.sample(range(-den, den + 1), rng.randint(1, 5 if dim == 2 else 4))))
+    return PointSet(dim=dim, denominators=tuple(dens), axes=tuple(axes))
+
+
+class TestAnnulusClasses:
+    def test_equals_fraction_oracle_on_random_product_sets(self):
+        rng = random.Random(2027)
+        ties = 0
+        for trial in range(120):
+            dim = rng.choice([2, 3])
+            pset = random_product_set(rng, dim)
+            kind = rng.choice([EUCLIDEAN, PARABOLOID_BODY])
+            t = rng.choice([0.25, 0.5, 1.0, 1.25, 0.3])
+            eps = rng.choice([0.0, 0.0, 0.25, 0.5, 0.1])
+            want, edge = band_oracle(pset, kind, t, eps)
+            got = annulus_incidences(pset, Gauge(kind, dim), t, eps, method="classes").count
+            assert got == want, (trial, pset, kind, t, eps)
+            ties += edge
+        assert ties > 0  # the trials include pairs exactly on a band edge
+
+    def test_lattice_edge_ties(self):
+        # pairs at distance exactly 0.5 on the 1/12 grid; float64 drops some
+        pset = gen_lattice(12, 2)
+        assert annulus_incidences(pset, Gauge(EUCLIDEAN, 2), 0.5, 0.05, "classes").count == 1744
+        assert band_oracle(pset, EUCLIDEAN, 0.5, 0.05)[0] == 1744
+
+    @pytest.mark.parametrize("d, ns", [(2, range(1, 13)), (3, range(1, 7))])
+    def test_valtr_unit_surface(self, d, ns):
+        g = Gauge(PARABOLOID_BODY, d)
+        for n in ns:
+            got = annulus_incidences(gen_valtr(n, d), g, 1.0, 0.0, "classes").count
+            assert got == exact_valtr_incidences(n, d).count, n
+
+    def test_valtr_at_falconer_eps(self):
+        g = Gauge(PARABOLOID_BODY, 2)
+        for n in range(2, 13):
+            rec = falconer_measure_ratio(n, 2, 1.4)
+            assert annulus_incidences(gen_valtr(n, 2), g, 1.0, rec.eps, "classes").count == rec.count, n
+
+    def test_equals_brute_and_grid_on_dyadic_sets(self):
+        # every coordinate and difference is an exact float, so the float
+        # methods are exact too
+        sets = [gen_lattice(8, 2), gen_valtr(4, 2), gen_valtr(2, 3), gen_mattila2(0.5, 2), gen_mattila3(0.5, 2)]
+        for pset in sets:
+            for kind in (EUCLIDEAN, PARABOLOID_BODY):
+                g = Gauge(kind, pset.dim)
+                for t, eps in [(0.25, 0.0), (0.5, 0.125), (1.0, 0.0), (1.0, 0.25)]:
+                    counts = {m: annulus_incidences(pset, g, t, eps, m).count for m in ("classes", "brute", "grid")}
+                    assert len(set(counts.values())) == 1, (pset.label, kind, t, eps, counts)
+
+    def test_report_method(self):
+        rep = annulus_incidences(gen_mattila2(0.5, 1), Gauge(EUCLIDEAN, 2), 1.0, 0.25, "classes", threads=2)
+        assert (rep.count, rep.method) == (72, "classes")
+
+    def test_row_built_set_rejected(self):
+        p = PointSet(dim=2, denominators=(1, 1), numerators=((0, 0), (1, 0)))
+        with pytest.raises(ParameterError):
+            annulus_incidences(p, Gauge(EUCLIDEAN, 2), 1.0, 0.0, "classes")
+
+    def test_class_limit_refused_before_allocating(self):
+        # powers of two have pairwise distinct differences: 2017^2 head classes
+        axis = tuple(1 << i for i in range(64))
+        pset = PointSet(dim=3, denominators=(1 << 63, 1 << 63, 1), axes=(axis, axis, (0, 1)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                annulus_incidences(pset, Gauge(EUCLIDEAN, 3), 1.0, 0.0, "classes")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestFalconerRatio:
