@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, InputError, ParameterError
-from .incidence import _map_row_chunks
-from .pointsets import PointSet, difference_classes, gen_valtr
+from .incidence import _even_step, _map_row_chunks
+from .pointsets import PointSet, gen_valtr
 
 _MAX_GROUPED_CELLS = 50_000_000
 
@@ -43,24 +43,22 @@ class MonteCarloEstimate:
 
 def _grouped_pair_sum(P: PointSet, s: float) -> float | None:
     """Riesz pair sum via difference classes of a product of evenly spaced
-    axes; the class multiplicity along axis j with count k is k - |D_j|.
+    axes: the index differences D_j in [-(k_j - 1), k_j - 1] of the axes,
+    k_j values each, with prod_j (k_j - |D_j|) ordered pairs per class.
     Returns None when P is not such a product or the class space is too
     large."""
     if P.axes is None:
         return None
-    steps = []
-    for ax, den in zip(P.axes, P.denominators):
-        gaps = {b - a for a, b in zip(ax, ax[1:])}
-        if len(gaps) > 1:
-            return None
-        steps.append(gaps.pop() / den if gaps else 0.0)
+    steps = [_even_step(ax) for ax in P.axes]
     shape = [len(ax) for ax in P.axes]
-    if math.prod(2 * k - 1 for k in shape) > _MAX_GROUPED_CELLS:
+    if None in steps or math.prod(2 * k - 1 for k in shape) > _MAX_GROUPED_CELLS:
         return None
-    grids, mult = difference_classes(shape)
+    grids = np.meshgrid(*(np.arange(-(k - 1), k, dtype=np.int64) for k in shape), indexing="ij")
     r2 = np.zeros(grids[0].shape, dtype=np.float64)
-    for g, h in zip(grids, steps):
-        r2 += (g * h) ** 2
+    mult = np.ones(grids[0].shape, dtype=np.int64)
+    for g, k, step, den in zip(grids, shape, steps, P.denominators):
+        r2 += (g * (step / den)) ** 2
+        mult *= k - np.abs(g)
     nonzero = r2 > 0.0
     return float((mult[nonzero] * np.power(r2[nonzero], -s / 2.0)).sum())
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InputError, ParameterError
-from .pointsets import difference_classes
+from .incidence import _head_classes
 
 _MAX_CELLS = 50_000_000
 _PAIR_CHUNK = 512
@@ -35,6 +35,10 @@ def _validate_field(q: int, dim: int) -> None:
         raise ParameterError(f"q must be prime, got {q!r}")
     if not (isinstance(dim, int) and dim >= 1):
         raise ParameterError(f"dim must be a positive integer, got {dim!r}")
+
+
+def _validate_grid(q: int, dim: int) -> None:
+    _validate_field(q, dim)
     if q**dim > _MAX_CELLS:
         raise CapacityError(f"q^dim = {q ** dim} cells exceed the limit {_MAX_CELLS}")
 
@@ -49,7 +53,7 @@ class FFSet:
     size: int = -1
 
     def __post_init__(self):
-        _validate_field(self.q, self.dim)
+        _validate_grid(self.q, self.dim)
         if self.indicator.shape != (self.q,) * self.dim or self.indicator.dtype != np.bool_:
             raise InputError(f"indicator must be a boolean grid of shape {(self.q,) * self.dim}")
         object.__setattr__(self, "size", int(self.indicator.sum()))
@@ -76,7 +80,7 @@ class FFSpectrum:
 
 def ff_sphere(q: int, d: int, t: int) -> FFSet:
     """{x in F_q^d : x_1^2 + ... + x_d^2 = t}."""
-    _validate_field(q, d)
+    _validate_grid(q, d)
     grids = np.indices((q,) * d)
     total = np.zeros((q,) * d, dtype=np.int64)
     for g in grids:
@@ -86,7 +90,7 @@ def ff_sphere(q: int, d: int, t: int) -> FFSet:
 
 def ff_paraboloid(q: int, d: int) -> FFSet:
     """{x in F_q^d : x_d = x_1^2 + ... + x_{d-1}^2}."""
-    _validate_field(q, d)
+    _validate_grid(q, d)
     if d < 2:
         raise ParameterError("the paraboloid needs dim >= 2")
     grids = np.indices((q,) * d)
@@ -175,20 +179,19 @@ def _sharpness_pair_count(q: int, d: int, a_max: int, b_max: int) -> int:
     """Ordered pairs of the box {0..a_max}^(d-1) x {0..b_max} in F_q^d whose
     difference lies on the paraboloid, by difference classes.
 
-    A head difference D in [-a_max, a_max]^(d-1) occurs prod(a_max+1-|D_j|)
-    times; with S = |D|^2, the last-axis gap e must be S mod q or
-    S mod q - q, since |e| <= b_max < q, and it occurs b_max+1-|e| times.
+    The head differences D in [-a_max, a_max]^(d-1) are grouped by
+    S = |D|^2 with their pair counts; the last-axis gap e must be S mod q
+    or S mod q - q, since |e| <= b_max < q, and it occurs b_max+1-|e| times.
     """
-    grids, mult = difference_classes((a_max + 1,) * (d - 1))
-    r = sum(g * g for g in grids) % q
-    weight = np.where(r <= b_max, b_max + 1 - r, 0) + np.where(q - r <= b_max, b_max + 1 - (q - r), 0)
-    return int((mult * weight).sum())
+    _, classes = _head_classes((range(a_max + 1),) * (d - 1), (1,) * (d - 1))
+    return sum(m * (max(0, b_max + 1 - s % q) + max(0, b_max + 1 - q + s % q)) for s, m in classes.items())
 
 
 def sharpness_set(q: int, delta: float, d: int) -> FFSet:
     """The product E = A^(d-1) x B with A = {0, ..., floor(q^(1/2-delta))}
     and B = {0, ..., floor((d-1) q^(1-2 delta))}, all as residues mod q."""
     a_max, b_max = _sharpness_sides(q, delta, d)
+    _validate_grid(q, d)
     indicator = np.zeros((q,) * d, dtype=np.bool_)
     indicator[(slice(0, a_max + 1),) * (d - 1) + (slice(0, b_max + 1),)] = True
     return FFSet(q=q, dim=d, indicator=indicator)
@@ -197,7 +200,8 @@ def sharpness_set(q: int, delta: float, d: int) -> FFSet:
 def sharpness_ratio(q: int, delta: float, d: int) -> float:
     """Pair count of the sharpness set against the paraboloid, divided by
     |E|^2 / q. Grows like q^(2 delta), defeating any uniform pair-count
-    bound below the |E| ~ q^((d+1)/2) threshold."""
-    e = sharpness_set(q, delta, d)
-    count = _sharpness_pair_count(q, d, *_sharpness_sides(q, delta, d))
-    return count * q / e.size**2
+    bound below the |E| ~ q^((d+1)/2) threshold. Nothing is built on the
+    q^d grid: |E| = (a_max+1)^(d-1) (b_max+1)."""
+    a_max, b_max = _sharpness_sides(q, delta, d)
+    size = (a_max + 1) ** (d - 1) * (b_max + 1)
+    return _sharpness_pair_count(q, d, a_max, b_max) * q / size**2

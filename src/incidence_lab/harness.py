@@ -138,15 +138,24 @@ def mattila_lattice_crossover(
     return _crossover_report(dim, s, *_mattila_count(dim, param, level, s, threads))
 
 
+def _default_ladder(ladder, defaults: dict, key: str, value: int):
+    """The given ladder, else the default of this dimension, which must exist."""
+    if ladder is None and value not in defaults:
+        raise ParameterError(f"no default ladder for {key}={value}; pass a ladder or use {key} in {set(defaults)}")
+    return defaults[value] if ladder is None else ladder
+
+
 def _run_valtr_incidence(d, ladder, threads):
-    ladder = ladder or {2: [8, 16, 32, 64], 3: [4, 8, 16], 4: [3, 4, 6, 8]}[d]
+    ladder = _default_ladder(ladder, {2: [8, 16, 32, 64], 3: [4, 8, 16], 4: [3, 4, 6, 8]}, "d", d)
     pts = [(n ** (d + 1), float(exact_valtr_incidences(n, d).count)) for n in ladder]
     return pts, 2.0 - 2.0 / (d + 1), TWO_SIDED, {"d": d, "ladder_n": ladder}
 
 
 def _run_falconer_ratio(d, s, ladder, threads):
     # below n = 64 at d = 2 the decaying near-miss share masks the growth
-    ladder = ladder or {2: [64, 128, 256, 512], 3: [4, 8, 16]}[d]
+    ladder = _default_ladder(ladder, {2: [64, 128, 256, 512], 3: [4, 8, 16]}, "d", d)
+    # s must lie in [d/2, (d+1)/2): 1.4 for d = 2, 1.6 for d = 3
+    s = (1.6 if d == 3 else 1.4) if s is None else s
     pts = []
     for n in ladder:
         rec = falconer_measure_ratio(n, d, s)
@@ -195,7 +204,7 @@ def _run_mattila_incidence(dim, param, ladder, threads):
 
 
 def _run_lattice_incidence(dim, s, ladder, threads):
-    ladder = ladder or {2: [20, 40, 80, 160], 3: [7, 10, 13, 16]}[dim]
+    ladder = _default_ladder(ladder, {2: [20, 40, 80, 160], 3: [7, 10, 13, 16]}, "dim", dim)
     # dim 3 needs s > 3/2; 1.9 = 2 - 3/2 * (1/15) is the mattila3 default
     s = (1.9 if dim == 3 else 1.48) if s is None else s
     pts = []
@@ -208,7 +217,8 @@ def _run_lattice_incidence(dim, s, ladder, threads):
 
 
 def _run_gauss_discrepancy(dim, ladder, threads):
-    ladder = ladder or {2: [64, 128, 256, 512, 1024, 2048, 4096, 8192], 3: [16, 32, 64, 128, 256, 512]}[dim]
+    ladders = {2: [64, 128, 256, 512, 1024, 2048, 4096, 8192], 3: [16, 32, 64, 128, 256, 512]}
+    ladder = _default_ladder(ladder, ladders, "dim", dim)
     pts = [(R, abs(ball_count(dim, R).discrepancy)) for R in ladder]
     predicted = 131.0 / 208.0 if dim == 2 else 21.0 / 16.0
     return pts, predicted, UPPER_BOUND, {"dim": dim, "ladder_R": ladder}
@@ -254,7 +264,7 @@ def run_experiment(
     if experiment == "valtr-incidence":
         out = _run_valtr_incidence(d or 2, ladder, threads)
     elif experiment == "falconer-ratio":
-        out = _run_falconer_ratio(d or 2, 1.4 if s is None else s, ladder, threads)
+        out = _run_falconer_ratio(d or 2, s, ladder, threads)
     elif experiment == "lenz-energy":
         out = _run_lenz_energy(1.5 if s is None else s, ladder, threads)
     elif experiment == "valtr-energy":

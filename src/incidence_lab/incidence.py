@@ -4,9 +4,12 @@ Three counters: exact on-surface incidences for the Valtr grid against
 translates of the paraboloid body, thickness-eps annulus incidences for
 arbitrary point sets (bucketed grid and brute methods that agree exactly,
 and an exact difference-class method for product sets), and the measure
-ratio that drives the thickened-distance-band growth experiment. The first
-and the last share one difference-class kernel in pure integer arithmetic,
-with an O(N^2) brute-force oracle for tests.
+ratio that drives the thickened-distance-band growth experiment. The exact
+Valtr count, the ``classes`` annulus method and the measure ratio share one
+band kernel over the per-axis gap multisets of a product set, in pure
+integer arithmetic; the Valtr counters read the grid's axes from
+``pointsets.valtr_axes`` and never build its points. An O(N^2) brute-force
+Valtr oracle serves the tests.
 
 All pair counts are over ordered pairs.
 """
@@ -19,12 +22,13 @@ from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import CapacityError, InputError, ParameterError
 from .gauge import EUCLIDEAN, LOWER, PARABOLOID_BODY, RIDGE, UPPER, Gauge, gauge_values
-from .pointsets import PointSet, difference_classes
+from .pointsets import PointSet, valtr_axes
 
 ALL_CAPS = (UPPER, LOWER, RIDGE)
 
@@ -34,7 +38,6 @@ ALL_CAPS = (UPPER, LOWER, RIDGE)
 _PB_INNER = math.sqrt(3.0) / 2.0
 
 _CHUNK_ROWS = 2048
-_MAX_GRID_CELLS = 20_000_000
 _MAX_OCCUPIED_CELLS = 20_000
 _MAX_PRODUCT_CLASSES = 4_000_000
 
@@ -62,44 +65,9 @@ def _validate_caps(caps) -> tuple[str, ...]:
     return caps
 
 
-def _valtr_band_counts(n: int, d: int, eps: float) -> tuple[int, int]:
-    """Ordered pairs of the Valtr grid whose difference has paraboloid gauge
-    in the closed band [1, h], h = 1 + eps taken as an exact rational; split
-    into (last-axis gap 0, last-axis gap nonzero).
-
-    A difference (D'/n, A/n^2) with S = |D'|^2 and a = |A| has gauge >= 1
-    iff S + a >= n^2, and gauge <= h iff S + h*a <= h^2 n^2. The admissible
-    gaps of one head class therefore form the integer interval
-    max(0, n^2 - S) <= a <= floor((h^2 n^2 - S) / h), and last-axis pairs
-    with gap a number n^2 for a = 0 and 2(n^2 - a) for 0 < a < n^2. Head
-    classes are grouped by S and every interval is decided in Python
-    integers, so the count is exact for every n and eps.
-    """
-    cells = (2 * n - 1) ** (d - 1)
-    if cells > _MAX_GRID_CELLS:
-        raise CapacityError(f"{cells} difference classes exceed the exact-path limit")
-    grids, mult = difference_classes((n,) * (d - 1))
-    s_vals, inverse = np.unique(sum(g * g for g in grids).ravel(), return_inverse=True)
-    s_mult = np.zeros(len(s_vals), dtype=np.int64)
-    np.add.at(s_mult, inverse.ravel(), mult.ravel())
-    h = 1 + Fraction(eps)
-    p, q = h.numerator, h.denominator
-    n2 = n * n
-    ridge = off_ridge = 0
-    for s, m in zip(s_vals.tolist(), s_mult.tolist()):
-        lo = max(0, n2 - s)
-        hi = min(n2 - 1, (p * p * n2 - s * q * q) // (p * q))
-        if lo == 0 and hi >= 0:
-            ridge += m * n2
-            lo = 1
-        if lo <= hi:
-            off_ridge += m * (hi - lo + 1) * (2 * n2 - lo - hi)
-    return ridge, off_ridge
-
-
 def _valtr_index_columns(n: int, d: int, dtype) -> list[np.ndarray]:
-    axes = [np.arange(n, dtype=dtype)] * (d - 1) + [np.arange(1, n * n + 1, dtype=dtype)]
-    grids = np.meshgrid(*axes, indexing="ij")
+    axes, _ = valtr_axes(n, d)
+    grids = np.meshgrid(*(np.asarray(ax, dtype=dtype) for ax in axes), indexing="ij")
     return [g.ravel() for g in grids]
 
 
@@ -139,13 +107,11 @@ def _brute_valtr_cap_counts(n: int, d: int, chunk: int = 1024) -> tuple[int, int
 def exact_valtr_incidences(n: int, d: int, caps=ALL_CAPS, method: str = "exact_integer") -> IncidenceReport:
     """Ordered pairs (p, q) of Valtr grid points with q - p exactly on the
     unit surface of the paraboloid body, restricted to the given caps."""
-    if not (isinstance(n, int) and n >= 1):
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
-    if not (isinstance(d, int) and d >= 2):
-        raise ParameterError(f"d must be an integer >= 2, got {d!r}")
+    axes, dens = valtr_axes(n, d)
     caps = _validate_caps(caps)
     if method == "exact_integer":
-        ridge, off_ridge = _valtr_band_counts(n, d, 0.0)
+        # a reversed pair flips the sign of the last-axis gap: upper <-> lower
+        ridge, off_ridge = _annulus_classes(axes, dens, PARABOLOID_BODY, 1, 0)
         by_cap = {UPPER: off_ridge // 2, LOWER: off_ridge // 2, RIDGE: ridge}
     elif method == "brute":
         upper, lower, ridge = _brute_valtr_cap_counts(n, d)
@@ -235,70 +201,99 @@ def _annulus_grid(pts: np.ndarray, g: Gauge, t: float, eps: float) -> int:
     return count
 
 
-def _axis_gaps(axis: tuple[int, ...]) -> dict[int, int]:
-    """|b - a| over the ordered pairs (a, b) of one axis, with
-    multiplicities: gap 0 occurs once per value and a positive gap twice
-    per unordered pair. An evenly spaced axis has the closed form m*step
-    with multiplicity 2(k - m); any other axis is enumerated, up to the
-    class limit."""
-    k = len(axis)
-    step = axis[1] - axis[0] if k > 1 else 0
-    if all(b - a == step for a, b in zip(axis, axis[1:])):
+def _even_step(axis) -> int | None:
+    """The common gap of consecutive values of an axis (1 for a single
+    value), or None when the axis is not evenly spaced. A range is evenly
+    spaced by construction, so its values are not read."""
+    step = axis[1] - axis[0] if len(axis) > 1 else 1
+    if isinstance(axis, range) or all(b - a == step for a, b in zip(axis, axis[1:])):
+        return step
+    return None
+
+
+def _axis_gaps(axis) -> dict[int, int]:
+    """|b - a| over the ordered pairs (a, b) of one axis of k values, with
+    multiplicities: k at gap 0, and 2(k - m) at m*step on an evenly spaced
+    axis; any other axis is enumerated. Refused beyond the class limit."""
+    k, step = len(axis), _even_step(axis)
+    if (k if step is not None else k * (k - 1) // 2) > _MAX_PRODUCT_CLASSES:
+        raise CapacityError(f"an axis of {k} values exceeds the exact-path limit")
+    if step is not None:
         return {0: k} | {m * step: 2 * (k - m) for m in range(1, k)}
-    if k * (k - 1) // 2 > _MAX_PRODUCT_CLASSES:
-        raise CapacityError(f"an uneven axis of {k} values exceeds the exact-path limit")
     pairs = Counter(b - a for i, a in enumerate(axis) for b in axis[i + 1 :])
     return {0: k} | {gap: 2 * c for gap, c in pairs.items()}
 
 
-def _annulus_classes(P: PointSet, g: Gauge, t, eps) -> int:
-    """Ordered pairs of the product set P in the closed band
-    t <= ||q - p|| <= h, h = t + eps, with t and eps taken as exact
-    rationals.
+def _gap_counter(axis):
+    """count(lo, hi): the ordered pairs (a, b) of one axis with
+    1 <= lo <= |b - a| <= hi; on an evenly spaced axis the series
+    sum 2(k - m) over the admissible m, in closed form, and on any other
+    axis prefix sums over its enumerated gaps."""
+    k, step = len(axis), _even_step(axis)
+    if step is None:
+        gaps = sorted(_axis_gaps(axis).items())
+        keys = [gap for gap, _ in gaps]
+        prefix = list(accumulate((m for _, m in gaps), initial=0))
+        return lambda lo, hi: prefix[bisect_right(keys, hi)] - prefix[bisect_left(keys, lo)]
 
-    The differences of a product set factor into per-axis gaps. The head
-    axes (all but the last) give r^2 = |x'|^2 = R/Q as an integer R over
-    Q = lcm(den_j^2), grouped by R. For each R the admissible gaps G of the
-    last axis (a = G/L, L its denominator) form an interval: t^2 <= r^2 + a^2 <= h^2 for the
-    Euclidean gauge, r^2 + t*a >= t^2 and r^2 + h*a <= h^2 for the
-    paraboloid body. Its ends are decided in Python integers and its
-    multiplicity is read from prefix sums, so no float is involved.
-    """
-    if P.axes is None:
-        raise ParameterError("method 'classes' needs a product set built from axes")
-    if g.kind not in (EUCLIDEAN, PARABOLOID_BODY):
-        raise ParameterError(f"method 'classes' does not support gauge {g.kind!r}")
-    *head_gaps, last_gaps = map(_axis_gaps, P.axes)
-    *head_dens, L = P.denominators
-    classes = math.prod(map(len, head_gaps))
+    def count(lo, hi):
+        m_lo, m_hi = -(-lo // step), min(k - 1, hi // step)
+        return (m_hi - m_lo + 1) * (2 * k - m_lo - m_hi) if m_lo <= m_hi else 0
+
+    return count
+
+
+def _head_classes(axes, denominators) -> tuple[int, dict[int, int]]:
+    """The ordered pairs of the product of ``axes`` grouped by squared
+    length: (Q, {R: pairs}), Q = lcm(den_j^2), where R / Q = |x|^2 for the
+    difference x of each pair. Refuses more than the class limit before
+    the table is built."""
+    gaps = [_axis_gaps(ax) for ax in axes]
+    classes = math.prod(map(len, gaps))
     if classes > _MAX_PRODUCT_CLASSES:
         raise CapacityError(f"{classes} head difference classes exceed the exact-path limit")
-    Q = math.lcm(*(d * d for d in head_dens))
+    Q = math.lcm(*(d * d for d in denominators))
     r2 = {0: 1}
-    for gaps, d in zip(head_gaps, head_dens):
+    for axis_gaps, d in zip(gaps, denominators):
         scale = Q // (d * d)
-        squares = [(scale * gap * gap, mg) for gap, mg in gaps.items()]
+        squares = [(scale * gap * gap, mg) for gap, mg in axis_gaps.items()]
         nxt = defaultdict(int)
         for r, m in r2.items():
             for sq, mg in squares:
                 nxt[r + sq] += m * mg
         r2 = nxt
-    gaps = sorted(last_gaps.items())
-    keys = [gap for gap, _ in gaps]
-    prefix = [0]
-    for _, m in gaps:
-        prefix.append(prefix[-1] + m)
-    lo_f, hi_f = Fraction(t), Fraction(t) + Fraction(eps)
-    tn, td = lo_f.numerator, lo_f.denominator
-    hn, hd = hi_f.numerator, hi_f.denominator
-    total = 0
+    return Q, r2
+
+
+def _annulus_classes(axes, denominators, kind: str, t, eps) -> tuple[int, int]:
+    """Ordered pairs of the product set with these axes and denominators in
+    the closed band t <= ||q - p|| <= h, h = t + eps, with t and eps taken
+    as exact rationals; split into (last-axis gap 0, last-axis gap
+    nonzero).
+
+    The differences of a product set factor into per-axis gaps. The head
+    axes (all but the last) give r^2 = R/Q, grouped by R (_head_classes).
+    For each R the admissible gaps G of the last axis (a = G/L, L its
+    denominator) form an interval: t^2 <= r^2 + a^2 <= h^2 for the
+    Euclidean gauge, r^2 + t*a >= t^2 and r^2 + h*a <= h^2 for the
+    paraboloid body. Its ends are decided in Python integers and its
+    multiplicity is counted by _gap_counter, so no float is involved.
+    """
+    if kind not in (EUCLIDEAN, PARABOLOID_BODY):
+        raise ParameterError(f"method 'classes' does not support gauge {kind!r}")
+    *head, last = axes
+    *head_dens, L = denominators
+    Q, r2 = _head_classes(head, head_dens)
+    count = _gap_counter(last)
+    (tn, td), (hn, hd) = Fraction(t).as_integer_ratio(), (Fraction(t) + Fraction(eps)).as_integer_ratio()
+    zero = rest = 0
     for r, m in r2.items():
         # (t^2 - r^2) = lo_num / (td^2 Q) and (h^2 - r^2) = hi_num / (hd^2 Q)
         lo_num = tn * tn * Q - r * td * td
         hi_num = hn * hn * Q - r * hd * hd
         if hi_num < 0:
             continue
-        if g.kind == EUCLIDEAN:
+        if kind == EUCLIDEAN:
             # a^2 >= t^2 - r^2 and a^2 <= h^2 - r^2, with a = G / L
             need = -(-L * L * lo_num // (td * td * Q))
             lo = math.isqrt(need - 1) + 1 if need > 0 else 0
@@ -307,9 +302,12 @@ def _annulus_classes(P: PointSet, g: Gauge, t, eps) -> int:
             # a >= (t^2 - r^2) / t and a <= (h^2 - r^2) / h
             lo = max(0, -(-L * lo_num // (td * Q * tn)))
             hi = L * hi_num // (hd * Q * hn)
+        if lo == 0:
+            zero += m
+            lo = 1
         if lo <= hi:
-            total += m * (prefix[bisect_right(keys, hi)] - prefix[bisect_left(keys, lo)])
-    return total
+            rest += m * count(lo, hi)
+    return zero * len(last), rest
 
 
 def annulus_incidences(
@@ -343,7 +341,9 @@ def annulus_incidences(
     elif method == "grid":
         count = _annulus_grid(P.to_floats(), g, float(t), float(eps))
     elif method == "classes":
-        count = _annulus_classes(P, g, t, eps)
+        if P.axes is None:
+            raise ParameterError("method 'classes' needs a product set built from axes")
+        count = sum(_annulus_classes(P.axes, P.denominators, g.kind, t, eps))
     else:
         raise ParameterError(f"unknown method {method!r}")
     return IncidenceReport(
@@ -385,14 +385,11 @@ def falconer_measure_ratio(n: int, d: int, s: float) -> FalconerRatio:
     S <= (n-1)^2 gives a >= 2n and hence delta > 1/(2n^2), while
     eps = n^(-15/7) <= 1/(2n^2) exactly when n >= 128.
     """
-    if not (isinstance(d, int) and d >= 2):
-        raise ParameterError(f"d must be an integer >= 2, got {d!r}")
-    if not (isinstance(n, int) and n >= 1):
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
+    axes, dens = valtr_axes(n, d)
     if not (d / 2 <= s < (d + 1) / 2):
         raise ParameterError(f"s={s!r} outside [d/2, (d+1)/2) for d={d}")
     N = n ** (d + 1)
     eps = float(N) ** (-1.0 / s)
-    count = sum(_valtr_band_counts(n, d, eps))
+    count = sum(_annulus_classes(axes, dens, PARABOLOID_BODY, 1, eps))
     measure_lhs = count / (N * N)  # eps^(2s) * count, using eps^s = 1/N exactly
     return FalconerRatio(n_points=N, eps=eps, count=count, measure_lhs=measure_lhs, ratio=measure_lhs / eps)

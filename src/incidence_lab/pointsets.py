@@ -127,33 +127,23 @@ def _check_size(count: int, what: str) -> None:
         raise CapacityError(f"{what} would produce {count} points (limit {MAX_POINTS})")
 
 
-def difference_classes(shape) -> tuple[list[np.ndarray], np.ndarray]:
-    """Difference classes of ordered pairs of the index grid
-    range(k_1) x ... x range(k_m): the per-axis index differences D_j in
-    [-(k_j - 1), k_j - 1] as meshgrid arrays (ij order), and the int64
-    number of ordered pairs in each class, prod_j (k_j - |D_j|)."""
-    axes = [np.arange(-(k - 1), k, dtype=np.int64) for k in shape]
-    grids = np.meshgrid(*axes, indexing="ij")
-    mult = np.ones(grids[0].shape, dtype=np.int64)
-    for g, k in zip(grids, shape):
-        mult *= k - np.abs(g)
-    return grids, mult
+def valtr_axes(n: int, d: int) -> tuple[tuple[range, ...], tuple[int, ...]]:
+    """Axes and denominators of the Valtr grid: range(n) over n on the
+    first d - 1 axes and range(1, n^2 + 1) over n^2 on the last. Counting
+    paths read the grid from here without materializing its points."""
+    if not (isinstance(n, int) and n >= 1):
+        raise ParameterError(f"n must be a positive integer, got {n!r}")
+    if not (isinstance(d, int) and d >= 2):
+        raise ParameterError(f"d must be an integer >= 2, got {d!r}")
+    return (range(n),) * (d - 1) + (range(1, n * n + 1),), (n,) * (d - 1) + (n * n,)
 
 
 def gen_valtr(n: int, d: int) -> PointSet:
     """The n x ... x n x n^2 grid: (i1/n, ..., i_{d-1}/n, i_d/n^2) with
     0 <= i_j <= n-1 for j < d and 1 <= i_d <= n^2. Exactly n^(d+1) points."""
-    if not (isinstance(n, int) and n >= 1):
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
-    if not (isinstance(d, int) and d >= 2):
-        raise ParameterError(f"d must be an integer >= 2, got {d!r}")
+    axes, denominators = valtr_axes(n, d)
     _check_size(n ** (d + 1), f"gen_valtr(n={n}, d={d})")
-    return PointSet(
-        dim=d,
-        denominators=(n,) * (d - 1) + (n * n,),
-        axes=(range(n),) * (d - 1) + (range(1, n * n + 1),),
-        label="valtr",
-    )
+    return PointSet(dim=d, denominators=denominators, axes=axes, label="valtr")
 
 
 def gen_lenz(N: int) -> PointSet:

@@ -145,6 +145,60 @@ class TestRunExperiment:
         }
 
 
+# every registered scan at each dimension that has a default ladder
+DEFAULT_SCANS = [
+    ("valtr-incidence", {"d": 2}),
+    ("valtr-incidence", {"d": 3}),
+    ("valtr-incidence", {"d": 4}),
+    ("falconer-ratio", {"d": 2}),
+    ("falconer-ratio", {"d": 3}),
+    ("lenz-energy", {}),
+    ("valtr-energy", {"d": 2}),
+    ("valtr-energy", {"d": 3}),
+    ("mattila2-incidence", {}),
+    ("mattila3-incidence", {}),
+    ("lattice-incidence", {"dim": 2}),
+    ("lattice-incidence", {"dim": 3}),
+    ("gauss-discrepancy", {"dim": 2}),
+    ("gauss-discrepancy", {"dim": 3}),
+    ("ff-sharpness", {"d": 2}),
+    ("ff-sharpness", {"d": 3}),
+]
+
+
+class TestDefaultLadders:
+    def test_every_experiment_covered(self):
+        assert {name for name, _ in DEFAULT_SCANS} == set(EXPERIMENTS)
+
+    @pytest.mark.parametrize("experiment, kwargs", DEFAULT_SCANS)
+    def test_runs_at_default_ladder(self, experiment, kwargs):
+        series = run_experiment(experiment, **kwargs)
+        assert len(series.points) >= 3
+        # mattila3-incidence fails its exponent check (ROADMAP item 4)
+        if experiment != "mattila3-incidence":
+            assert series.verdict == "pass", (experiment, kwargs, series.fitted_slope)
+
+    def test_falconer_ratio_d3_default_s(self):
+        # s must lie in [3/2, 2) at d = 3
+        series = run_experiment("falconer-ratio", d=3)
+        assert dict(series.params)["s"] == "1.6"
+        assert series.predicted == pytest.approx(1 / 1.6 - 2 / 4)
+
+    @pytest.mark.parametrize(
+        "experiment, kwargs, known",
+        [
+            ("valtr-incidence", {"d": 5}, "d in {2, 3, 4}"),
+            ("falconer-ratio", {"d": 4}, "d in {2, 3}"),
+            ("lattice-incidence", {"dim": 4}, "dim in {2, 3}"),
+            ("gauss-discrepancy", {"dim": 4}, "dim in {2, 3}"),
+        ],
+    )
+    def test_unsupported_dimension_needs_ladder(self, experiment, kwargs, known):
+        with pytest.raises(ParameterError) as info:
+            run_experiment(experiment, **kwargs)
+        assert known in str(info.value)
+
+
 class TestCrossover:
     def test_2d_small_level(self):
         rep = mattila_lattice_crossover(2, 2, alpha=0.48)

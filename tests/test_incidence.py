@@ -21,6 +21,7 @@ from incidence_lab import (
     gen_mattila3,
     gen_valtr,
 )
+from incidence_lab.incidence import _annulus_classes
 
 
 def random_pointset(rng, dim, n, den=64):
@@ -237,6 +238,38 @@ class TestAnnulusClasses:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+class TestKernelPins:
+    # counts of the exact integer kernel before it was folded into the
+    # product-set band counter, at sizes no other test reaches
+    @pytest.mark.parametrize(
+        "n, d, s, count",
+        [
+            (512, 2, 1.4, 22_906_404_864),
+            (2048, 2, 1.4, 5_864_060_616_704),
+            (200, 3, 1.6, 38_925_772_200_304),
+            (40, 4, 2.2, 5_104_673_821_728),
+        ],
+    )
+    def test_falconer_count(self, n, d, s, count):
+        assert falconer_measure_ratio(n, d, s).count == count
+
+    @pytest.mark.parametrize(
+        "n, d, ridge, upper",
+        [(200, 3, 1_392_640_000, 19_462_189_780_152), (40, 4, 196_608_000, 2_552_238_606_864)],
+    )
+    def test_valtr_caps(self, n, d, ridge, upper):
+        assert exact_valtr_incidences(n, d, caps=("ridge",)).count == ridge
+        assert exact_valtr_incidences(n, d, caps=("upper",)).count == upper
+        assert exact_valtr_incidences(n, d, caps=("lower",)).count == upper
+
+    def test_evenly_spaced_last_axis_not_enumerated(self):
+        # a 10^12-value last axis: only the head gap 1 with last gap 0 lies
+        # at Euclidean distance 1, on 2 * 10^12 ordered pairs
+        k = 10**12
+        zero, rest = _annulus_classes((range(2), range(k)), (1, k), EUCLIDEAN, 1, 0)
+        assert (zero, rest) == (2 * k, 0)
 
 
 class TestFalconerRatio:
