@@ -178,7 +178,7 @@ def _cmd_energy(args) -> int:
     if args.decompose:
         if args.n is None or args.d is None:
             raise ParameterError("--decompose needs --n and --d")
-        rep = energy_decomposition(args.n, args.d, args.s, samples=args.samples, seed=args.seed, threads=args.threads)
+        rep = energy_decomposition(args.n, args.d, args.s, samples=args.samples, seed=args.seed)
         gen_name, params = "valtr", _params_string(args)
     elif args.cube_constant:
         if args.d is None:

@@ -2,9 +2,9 @@
 cube measure.
 
 Distances are Euclidean throughout; the paraboloid gauge only enters the
-incidence counters. Pair sums run in float64 with pairwise (tree) summation
-inside each chunk and exact summation of the chunk totals, so results are
-deterministic for any thread count.
+incidence counters. A set built from ``axes`` is summed over its difference
+classes, any other set over all pairs; float64 block totals are added
+exactly, so results are deterministic for any thread count.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, InputError, ParameterError
-from .incidence import _even_step, _map_row_chunks
-from .pointsets import PointSet, gen_valtr
+from .incidence import _axis_gaps, _map_row_chunks, _pair_r2
+from .pointsets import PointSet, _column_floats, valtr_axes
 
-_MAX_GROUPED_CELLS = 50_000_000
+_CLASS_BLOCK = 1 << 20  # difference classes per NumPy block
 
 
 @dataclass(frozen=True)
@@ -41,37 +41,36 @@ class MonteCarloEstimate:
     seed: int
 
 
-def _grouped_pair_sum(P: PointSet, s: float) -> float | None:
-    """Riesz pair sum via difference classes of a product of evenly spaced
-    axes: the index differences D_j in [-(k_j - 1), k_j - 1] of the axes,
-    k_j values each, with prod_j (k_j - |D_j|) ordered pairs per class.
-    Returns None when P is not such a product or the class space is too
-    large."""
-    if P.axes is None:
-        return None
-    steps = [_even_step(ax) for ax in P.axes]
-    shape = [len(ax) for ax in P.axes]
-    if None in steps or math.prod(2 * k - 1 for k in shape) > _MAX_GROUPED_CELLS:
-        return None
-    grids = np.meshgrid(*(np.arange(-(k - 1), k, dtype=np.int64) for k in shape), indexing="ij")
-    r2 = np.zeros(grids[0].shape, dtype=np.float64)
-    mult = np.ones(grids[0].shape, dtype=np.int64)
-    for g, k, step, den in zip(grids, shape, steps, P.denominators):
-        r2 += (g * (step / den)) ** 2
-        mult *= k - np.abs(g)
-    nonzero = r2 > 0.0
-    return float((mult[nonzero] * np.power(r2[nonzero], -s / 2.0)).sum())
+def _grouped_pair_sum(axes, denominators, s: float) -> float:
+    """sum_{p != q} |p - q|^-s over the product of these axes, one term per class of
+    per-axis |gaps| (``incidence._axis_gaps``), each gap rounded to float once so no
+    difference cancels; head classes meet the last axis in blocks of <= _CLASS_BLOCK."""
+    gaps = list(map(_axis_gaps, axes))
+    sq = [_column_floats(list(g), den) ** 2 for g, den in zip(gaps, denominators)]
+    mult = [np.fromiter(g.values(), np.int64, len(g)) for g in gaps]
+    head_r2, head_mult = np.zeros(1), np.ones(1, dtype=np.int64)
+    for a, m in zip(sq[:-1], mult[:-1]):
+        head_r2, head_mult = np.add.outer(head_r2, a).ravel(), np.multiply.outer(head_mult, m).ravel()
+    rows, cols = max(1, _CLASS_BLOCK // len(sq[-1])), min(len(sq[-1]), _CLASS_BLOCK)
+    partials = []
+    for h0 in range(0, len(head_r2), rows):
+        for l0 in range(0, len(sq[-1]), cols):
+            block = np.add.outer(head_r2[h0 : h0 + rows], sq[-1][l0 : l0 + cols])
+            if h0 == l0 == 0:
+                block[0, 0] = np.inf  # _axis_gaps lists gap 0 first: the p = q class
+            np.power(block, -s / 2.0, out=block)
+            block *= np.multiply.outer(head_mult[h0 : h0 + rows], mult[-1][l0 : l0 + cols])
+            partials.append(float(block.sum()))
+    return math.fsum(partials)
 
 
 def _brute_pair_sum(pts: np.ndarray, s: float, threads: int) -> float:
     def one(rows):
-        block = pts[rows]
-        diff = pts[None, :, :] - block[:, None, :]
-        r2 = np.einsum("ijk,ijk->ij", diff, diff)
-        local = np.arange(len(block))
+        r2 = _pair_r2(pts[rows], pts)
+        local = np.arange(len(r2))
         r2[local, rows.start + local] = np.inf  # p = q contributes 0
         with np.errstate(divide="ignore"):
-            return float(np.power(r2, -s / 2.0).sum())
+            return float(np.power(r2, -s / 2.0, out=r2).sum())
 
     return math.fsum(_map_row_chunks(one, len(pts), threads))
 
@@ -84,9 +83,7 @@ def adaptability_sum(P: PointSet, s: float, threads: int = 1) -> EnergyReport:
         raise InputError("adaptability_sum needs at least 2 points")
     if threads < 1:
         raise ParameterError("threads must be >= 1")
-    total = _grouped_pair_sum(P, s)
-    if total is None:
-        total = _brute_pair_sum(P.to_floats(), s, threads)
+    total = _grouped_pair_sum(P.axes, P.denominators, s) if P.axes else _brute_pair_sum(P.to_floats(), s, threads)
     if not math.isfinite(total):
         raise InputError("points collide at float64 resolution; energy diverges")
     n = P.n_points
@@ -126,15 +123,13 @@ def ball_bound_constant(d: int, s: float) -> float:
     return sphere_area * d ** ((d - s) / 2.0) / (d - s)
 
 
-def energy_decomposition(
-    n: int, d: int, s: float, samples: int = 200_000, seed: int = 0, threads: int = 1
-) -> EnergyReport:
+def energy_decomposition(n: int, d: int, s: float, samples: int = 200_000, seed: int = 0) -> EnergyReport:
     """Self/cross split of the energy of the thickened Valtr measure at
     eps = N^(-1/s).
 
     The self term N * eps^s * C(d, s) collapses to C(d, s) because
     eps^-s = N; the cross term eps^(2s) * sum_{p != q} |p - q|^-s equals the
-    adaptability sum because eps^(2s) = N^-2.
+    adaptability sum because eps^(2s) = N^-2, summed from ``valtr_axes``.
     """
     if not (isinstance(n, int) and n >= 2):
         raise ParameterError(f"n must be an integer >= 2, got {n!r}")
@@ -142,7 +137,7 @@ def energy_decomposition(
         raise ParameterError(f"d must be an integer >= 2, got {d!r}")
     if not (d / 2 <= s < (d + 1) / 2):
         raise ParameterError(f"s={s!r} outside [d/2, (d+1)/2) for d={d}")
-    cross = adaptability_sum(gen_valtr(n, d), s, threads=threads).lambda_s
+    cross = _grouped_pair_sum(*valtr_axes(n, d), s) / n ** (2 * (d + 1))  # N^-2
     self_term = cube_self_energy(d, s, samples=samples, seed=seed).value
     return EnergyReport(
         s=s,

@@ -130,20 +130,25 @@ def exact_valtr_incidences(n: int, d: int, caps=ALL_CAPS, method: str = "exact_i
     )
 
 
+def _pair_r2(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """|y - x|^2 for x in src (rows) and y in tgt (columns), summed axis by axis in order."""
+    r2 = np.zeros((len(src), len(tgt)))
+    for k in range(src.shape[1]):
+        diff = tgt[:, k] - src[:, k, None]
+        r2 += np.multiply(diff, diff, out=diff)
+    return r2
+
+
 def _band_count_block(g: Gauge, src: np.ndarray, tgt: np.ndarray, t: float, eps: float) -> int:
     """Pairs (x in src, y in tgt) with t <= ||y - x|| <= t + eps, both ends
     closed. Self-pairs evaluate to 0 and are excluded by t > 0."""
     hi = t + eps
+    r2 = _pair_r2(src, tgt)
     if g.kind == PARABOLOID_BODY:
-        diff = tgt[None, :, :] - src[:, None, :]
-        r2 = np.einsum("ijk,ijk->ij", diff, diff)
-        cand = np.nonzero((r2 >= (t * _PB_INNER) ** 2) & (r2 <= hi * hi))
-        if cand[0].size == 0:
-            return 0
-        v = gauge_values(g, diff[cand])
-        return int(((v >= t) & (v <= hi)).sum())
-    diff = tgt[None, :, :] - src[:, None, :]
-    v = gauge_values(g, diff)
+        i, j = np.nonzero((r2 >= (t * _PB_INNER) ** 2) & (r2 <= hi * hi))
+        v = gauge_values(g, tgt[j] - src[i])
+    else:
+        v = np.sqrt(r2, out=r2)
     return int(((v >= t) & (v <= hi)).sum())
 
 

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import pytest
 
 from incidence_lab import (
@@ -14,7 +17,7 @@ from incidence_lab import (
     gen_mattila3,
     gen_valtr,
 )
-from incidence_lab.energy import _grouped_pair_sum, ball_bound_constant
+from incidence_lab.energy import _brute_pair_sum, _grouped_pair_sum, ball_bound_constant
 
 # high-sample quadrature oracle for the unit-square inverse-distance self
 # energy, computed once with scipy.integrate.dblquad (abs err < 1e-11):
@@ -61,21 +64,73 @@ class TestAdaptabilitySum:
             (gen_valtr(3, 2), 1.2),
             (gen_valtr(2, 3), 1.7),
             (gen_lattice(4, 3), 1.1),
-            # two-value axes are evenly spaced, so these take the grouped path
             (gen_mattila3(0.4, 1), 1.3),
             (gen_mattila2(0.5, 0), 1.3),
         ]
         for pset, s in cases:
-            assert _grouped_pair_sum(pset, s) is not None
             grouped = adaptability_sum(pset, s).lambda_s
+            assert grouped == _grouped_pair_sum(pset.axes, pset.denominators, s) / pset.n_points**2
             brute = adaptability_sum(strip_axes(pset), s).lambda_s
             assert grouped == pytest.approx(brute, rel=1e-12)
 
     def test_grouped_path_needs_evenly_spaced_axes(self):
-        assert _grouped_pair_sum(strip_axes(gen_valtr(3, 2)), 1.2) is None
+        # the class path needs the axes, not an even spacing of them: a set
+        # without axes is summed over all pairs, an uneven axis is grouped
+        plain = strip_axes(gen_valtr(3, 2))
+        assert adaptability_sum(plain, 1.2).lambda_s == _brute_pair_sum(plain.to_floats(), 1.2, 1) / plain.n_points**2
         uneven = gen_mattila2(0.5, 1)  # x axis -7/8, -1/8, 1/8, 7/8
-        assert _grouped_pair_sum(uneven, 1.2) is None
-        assert adaptability_sum(uneven, 1.2).lambda_s == adaptability_sum(strip_axes(uneven), 1.2).lambda_s
+        grouped = adaptability_sum(uneven, 1.2).lambda_s
+        assert grouped == _grouped_pair_sum(uneven.axes, uneven.denominators, 1.2) / uneven.n_points**2
+        assert grouped == pytest.approx(adaptability_sum(strip_axes(uneven), 1.2).lambda_s, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "pset",
+        [
+            gen_mattila2(0.5, 1),
+            gen_mattila2(0.48, 1),
+            gen_mattila2(0.48, 2),
+            gen_mattila3(0.4, 2),
+            gen_mattila3(1 / 15, 2),
+        ],
+        ids=["mattila2-0.5-1", "mattila2-0.48-1", "mattila2-0.48-2", "mattila3-0.4-2", "mattila3-1/15-2"],
+    )
+    def test_grouped_equals_fraction_oracle(self, pset):
+        # |p - q|^2 exact per pair, rounded once; the mattila3 delta = 1/15
+        # axis has values 2^-90 apart, where float coordinate differences
+        # cancel
+        pts = [pset.point(i) for i in range(pset.n_points)]
+        for s in (1.1, 1.3, 1.7):
+            terms = [
+                float(sum((a - b) ** 2 for a, b in zip(p, q))) ** (-s / 2)
+                for i, p in enumerate(pts)
+                for q in pts[i + 1 :]
+            ]
+            oracle = 2 * math.fsum(terms) / pset.n_points**2
+            assert adaptability_sum(pset, s).lambda_s == pytest.approx(oracle, rel=1e-13)
+
+    def test_nearly_colliding_cantor_axis_is_finite(self):
+        # the third axis holds values about 2^-90 apart, which round to the
+        # same float64; their gaps do not
+        pset = gen_mattila3(1 / 15, 3)
+        for s in (1.1, 1.3, 1.7):
+            assert math.isfinite(adaptability_sum(pset, s).lambda_s)
+
+    def test_grouped_memory_is_bounded_by_classes(self):
+        pset = gen_mattila2(0.48, 6)  # 741,504 points
+        tracemalloc.start()
+        try:
+            adaptability_sum(pset, 1.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**20
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_lenz_brute_pins(self, threads):
+        # pinned bit for bit, so a change in the order of the per-axis r^2
+        # sums shows
+        assert adaptability_sum(gen_lenz(1024), 1.5, threads=threads).lambda_s == 3.9156525835101306
+        assert adaptability_sum(gen_lenz(2048), 1.5, threads=threads).lambda_s == 5.470277332563276
 
     def test_threads_deterministic(self):
         p = strip_axes(gen_valtr(3, 2))

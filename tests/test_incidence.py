@@ -17,6 +17,7 @@ from incidence_lab import (
     exact_valtr_incidences,
     falconer_measure_ratio,
     gen_lattice,
+    gen_lenz,
     gen_mattila2,
     gen_mattila3,
     gen_valtr,
@@ -130,6 +131,14 @@ class TestAnnulus:
         a = annulus_incidences(p, g, 1.0, 0.1, threads=1).count
         b = annulus_incidences(p, g, 1.0, 0.1, threads=2).count
         assert a == b
+
+    def test_lenz_paraboloid_band_pin(self):
+        # pinned, so a change in the order of the per-axis r^2 sums that
+        # moves a pair across a band edge shows
+        p = gen_lenz(4096)
+        g = Gauge(PARABOLOID_BODY, 4)
+        assert annulus_incidences(p, g, 1.0, 0.05, method="brute").count == 147560
+        assert annulus_incidences(p, g, 1.0, 0.05, method="grid").count == 147560
 
     def test_parameter_errors(self):
         p = gen_valtr(2, 2)
