@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DivergenceError, InputError, ParameterError
 from .incidence import _axis_gaps, _map_row_chunks, _pair_r2
-from .pointsets import PointSet, _column_floats, valtr_axes
+from .pointsets import PointSet, _column_floats, gen_valtr
 
 _CLASS_BLOCK = 1 << 20  # difference classes per NumPy block
 
@@ -129,7 +129,7 @@ def energy_decomposition(n: int, d: int, s: float, samples: int = 200_000, seed:
 
     The self term N * eps^s * C(d, s) collapses to C(d, s) because
     eps^-s = N; the cross term eps^(2s) * sum_{p != q} |p - q|^-s equals the
-    adaptability sum because eps^(2s) = N^-2, summed from ``valtr_axes``.
+    adaptability sum of ``gen_valtr(n, d)`` because eps^(2s) = N^-2.
     """
     if not (isinstance(n, int) and n >= 2):
         raise ParameterError(f"n must be an integer >= 2, got {n!r}")
@@ -137,7 +137,7 @@ def energy_decomposition(n: int, d: int, s: float, samples: int = 200_000, seed:
         raise ParameterError(f"d must be an integer >= 2, got {d!r}")
     if not (d / 2 <= s < (d + 1) / 2):
         raise ParameterError(f"s={s!r} outside [d/2, (d+1)/2) for d={d}")
-    cross = _grouped_pair_sum(*valtr_axes(n, d), s) / n ** (2 * (d + 1))  # N^-2
+    cross = adaptability_sum(gen_valtr(n, d), s).lambda_s
     self_term = cube_self_energy(d, s, samples=samples, seed=seed).value
     return EnergyReport(
         s=s,

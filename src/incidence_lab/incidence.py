@@ -7,9 +7,8 @@ and an exact difference-class method for product sets), and the measure
 ratio that drives the thickened-distance-band growth experiment. The exact
 Valtr count, the ``classes`` annulus method and the measure ratio share one
 band kernel over the per-axis gap multisets of a product set, in pure
-integer arithmetic; the Valtr counters read the grid's axes from
-``pointsets.valtr_axes`` and never build its points. An O(N^2) brute-force
-Valtr oracle serves the tests.
+integer arithmetic; the Valtr counters read the axes of ``gen_valtr`` and
+never build its points. An O(N^2) brute-force Valtr oracle serves the tests.
 
 All pair counts are over ordered pairs.
 """
@@ -28,7 +27,7 @@ import numpy as np
 
 from .errors import CapacityError, InputError, ParameterError
 from .gauge import EUCLIDEAN, LOWER, PARABOLOID_BODY, RIDGE, UPPER, Gauge, gauge_values
-from .pointsets import PointSet, valtr_axes
+from .pointsets import PointSet, gen_valtr
 
 ALL_CAPS = (UPPER, LOWER, RIDGE)
 
@@ -66,8 +65,7 @@ def _validate_caps(caps) -> tuple[str, ...]:
 
 
 def _valtr_index_columns(n: int, d: int, dtype) -> list[np.ndarray]:
-    axes, _ = valtr_axes(n, d)
-    grids = np.meshgrid(*(np.asarray(ax, dtype=dtype) for ax in axes), indexing="ij")
+    grids = np.meshgrid(*(np.asarray(ax, dtype=dtype) for ax in gen_valtr(n, d).axes), indexing="ij")
     return [g.ravel() for g in grids]
 
 
@@ -107,11 +105,11 @@ def _brute_valtr_cap_counts(n: int, d: int, chunk: int = 1024) -> tuple[int, int
 def exact_valtr_incidences(n: int, d: int, caps=ALL_CAPS, method: str = "exact_integer") -> IncidenceReport:
     """Ordered pairs (p, q) of Valtr grid points with q - p exactly on the
     unit surface of the paraboloid body, restricted to the given caps."""
-    axes, dens = valtr_axes(n, d)
+    P = gen_valtr(n, d)
     caps = _validate_caps(caps)
     if method == "exact_integer":
         # a reversed pair flips the sign of the last-axis gap: upper <-> lower
-        ridge, off_ridge = _annulus_classes(axes, dens, PARABOLOID_BODY, 1, 0)
+        ridge, off_ridge = _annulus_classes(P.axes, P.denominators, PARABOLOID_BODY, 1, 0)
         by_cap = {UPPER: off_ridge // 2, LOWER: off_ridge // 2, RIDGE: ridge}
     elif method == "brute":
         upper, lower, ridge = _brute_valtr_cap_counts(n, d)
@@ -121,7 +119,7 @@ def exact_valtr_incidences(n: int, d: int, caps=ALL_CAPS, method: str = "exact_i
     count = sum(by_cap[c] for c in caps)
     return IncidenceReport(
         count=count,
-        n_points=n ** (d + 1),
+        n_points=P.n_points,
         norm=PARABOLOID_BODY,
         t=1.0,
         eps=0.0,
@@ -390,11 +388,11 @@ def falconer_measure_ratio(n: int, d: int, s: float) -> FalconerRatio:
     S <= (n-1)^2 gives a >= 2n and hence delta > 1/(2n^2), while
     eps = n^(-15/7) <= 1/(2n^2) exactly when n >= 128.
     """
-    axes, dens = valtr_axes(n, d)
+    P = gen_valtr(n, d)
     if not (d / 2 <= s < (d + 1) / 2):
         raise ParameterError(f"s={s!r} outside [d/2, (d+1)/2) for d={d}")
-    N = n ** (d + 1)
+    N = P.n_points
     eps = float(N) ** (-1.0 / s)
-    count = sum(_annulus_classes(axes, dens, PARABOLOID_BODY, 1, eps))
+    count = sum(_annulus_classes(P.axes, P.denominators, PARABOLOID_BODY, 1, eps))
     measure_lhs = count / (N * N)  # eps^(2s) * count, using eps^s = 1/N exactly
     return FalconerRatio(n_points=N, eps=eps, count=count, measure_lhs=measure_lhs, ratio=measure_lhs / eps)

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import CapacityError, InputError, ParameterError
 
-# Refuse to materialize sets larger than this (counting paths that do not
-# need explicit points, e.g. the exact Valtr counter, are not affected).
+# Refuse to build rows or float columns of more than this many points; paths
+# that read only the ``axes`` of a product set are not affected.
 MAX_POINTS = 2_000_000
 
 # Resolution used to store irrational coordinates (the Lenz circles).
@@ -38,18 +38,21 @@ class PointSet:
     ``numerators[i][j] / denominators[j]`` is coordinate j of point i. All
     points lie in [-1, 1]^dim and are pairwise distinct. A set that is the
     full Cartesian product of its axes is built from ``axes`` instead: the
-    strictly increasing numerators of each axis, from which ``numerators``
-    is derived in ``itertools.product`` order, so rows and structure cannot
-    disagree. ``s_dim`` records the dimension parameter a construction
-    targets, when it has one.
+    strictly increasing numerators of each axis (a positive-step ``range``
+    is kept as given). It holds only its axes, and ``==`` compares them;
+    ``numerators`` is their ``itertools.product``, built on first read.
+    ``s_dim`` records the dimension parameter a construction targets.
     """
 
     dim: int
     denominators: tuple[int, ...]
-    numerators: tuple[tuple[int, ...], ...] | None = None
+    # a factory leaves no class attribute, so the unread rows of an axes-built set reach __getattr__
+    numerators: tuple[tuple[int, ...], ...] | None = field(default_factory=lambda: None, compare=False, repr=False)
     label: str = "custom"
-    axes: tuple[tuple[int, ...], ...] | None = None
+    axes: tuple[tuple[int, ...] | range, ...] | None = None
     s_dim: float | None = None
+    # what ``==`` and hash compare besides the axes: the rows of a row-built set
+    _rows: tuple[tuple[int, ...], ...] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -59,12 +62,12 @@ class PointSet:
         if any(den <= 0 for den in self.denominators):
             raise InputError("denominators must be positive")
         if self.axes is not None:
-            self._expand_axes()
+            self._check_axes()
+            del self.__dict__["numerators"]
             return
         if self.numerators is None:
             raise InputError("numerators or axes is required")
-        if len(self.numerators) > MAX_POINTS:
-            raise CapacityError(f"{len(self.numerators)} points exceeds MAX_POINTS={MAX_POINTS}")
+        self._check_rows()
         for row in self.numerators:
             if len(row) != self.dim:
                 raise InputError("point arity does not match dim")
@@ -73,28 +76,36 @@ class PointSet:
                     raise InputError(f"coordinate {num}/{den} lies outside [-1, 1]")
         if len(set(self.numerators)) != len(self.numerators):
             raise InputError("duplicate points are not allowed")
+        object.__setattr__(self, "_rows", self.numerators)
 
-    def _expand_axes(self) -> None:
+    def _check_axes(self) -> None:
         if self.numerators is not None:
             raise InputError("pass numerators or axes, not both")
-        axes = tuple(tuple(ax) for ax in self.axes)
+        axes = tuple(ax if isinstance(ax, range) and ax.step > 0 else tuple(ax) for ax in self.axes)
         if len(axes) != self.dim:
             raise InputError("one axis per dimension is required")
         for ax, den in zip(axes, self.denominators):
-            if any(a >= b for a, b in zip(ax, ax[1:])):
+            if isinstance(ax, tuple) and any(a >= b for a, b in zip(ax, ax[1:])):
                 raise InputError("axis numerators must be strictly increasing")
-            for num in ax[:1] + ax[-1:]:
+            for num in (*ax[:1], *ax[-1:]):
                 if abs(num) > den:
                     raise InputError(f"coordinate {num}/{den} lies outside [-1, 1]")
-        count = math.prod(len(ax) for ax in axes)
-        if count > MAX_POINTS:
-            raise CapacityError(f"{count} points exceeds MAX_POINTS={MAX_POINTS}")
         object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "numerators", tuple(itertools.product(*axes)))
+
+    def __getattr__(self, name):
+        # reached only for the rows of an axes-built set, before their first read
+        if name != "numerators":
+            raise AttributeError(name)
+        self._check_rows()
+        object.__setattr__(self, name, tuple(itertools.product(*self.axes)))
+        return self.numerators
+
+    def _check_rows(self) -> None:
+        _check_size(self.n_points, f"materializing the {self.label} set")
 
     @property
     def n_points(self) -> int:
-        return len(self.numerators)
+        return len(self.numerators) if self.axes is None else math.prod(map(len, self.axes))
 
     def coordinate(self, i: int, j: int) -> Fraction:
         return Fraction(self.numerators[i][j], self.denominators[j])
@@ -105,6 +116,7 @@ class PointSet:
     def to_floats(self) -> np.ndarray:
         """Coordinates as an (n_points, dim) float64 array; a product set
         converts each axis once and expands the product."""
+        self._check_rows()
         if self.axes is not None:
             cols = np.meshgrid(*map(_column_floats, self.axes, self.denominators), indexing="ij")
         else:
@@ -127,23 +139,16 @@ def _check_size(count: int, what: str) -> None:
         raise CapacityError(f"{what} would produce {count} points (limit {MAX_POINTS})")
 
 
-def valtr_axes(n: int, d: int) -> tuple[tuple[range, ...], tuple[int, ...]]:
-    """Axes and denominators of the Valtr grid: range(n) over n on the
-    first d - 1 axes and range(1, n^2 + 1) over n^2 on the last. Counting
-    paths read the grid from here without materializing its points."""
+def gen_valtr(n: int, d: int) -> PointSet:
+    """The n x ... x n x n^2 grid: (i1/n, ..., i_{d-1}/n, i_d/n^2) with
+    0 <= i_j <= n-1 for j < d and 1 <= i_d <= n^2. Exactly n^(d+1) points,
+    held as range axes, so the exact counters read the grid at any n."""
     if not (isinstance(n, int) and n >= 1):
         raise ParameterError(f"n must be a positive integer, got {n!r}")
     if not (isinstance(d, int) and d >= 2):
         raise ParameterError(f"d must be an integer >= 2, got {d!r}")
-    return (range(n),) * (d - 1) + (range(1, n * n + 1),), (n,) * (d - 1) + (n * n,)
-
-
-def gen_valtr(n: int, d: int) -> PointSet:
-    """The n x ... x n x n^2 grid: (i1/n, ..., i_{d-1}/n, i_d/n^2) with
-    0 <= i_j <= n-1 for j < d and 1 <= i_d <= n^2. Exactly n^(d+1) points."""
-    axes, denominators = valtr_axes(n, d)
-    _check_size(n ** (d + 1), f"gen_valtr(n={n}, d={d})")
-    return PointSet(dim=d, denominators=denominators, axes=axes, label="valtr")
+    axes = (range(n),) * (d - 1) + (range(1, n * n + 1),)
+    return PointSet(dim=d, denominators=(n,) * (d - 1) + (n * n,), axes=axes, label="valtr")
 
 
 def gen_lenz(N: int) -> PointSet:
@@ -175,7 +180,6 @@ def gen_lattice(k: int, d: int) -> PointSet:
         raise ParameterError(f"k must be a positive integer, got {k!r}")
     if not (isinstance(d, int) and d >= 1):
         raise ParameterError(f"d must be a positive integer, got {d!r}")
-    _check_size(k**d, f"gen_lattice(k={k}, d={d})")
     return PointSet(dim=d, denominators=(k,) * d, axes=(range(k),) * d, label="lattice")
 
 
@@ -246,7 +250,6 @@ def gen_mattila2(alpha: float, levels: int) -> PointSet:
     params = CantorParams(alpha, levels)
     centers = gen_cantor_centers(params)
     grid = math.ceil(params.inverse_ratio**levels)
-    _check_size(2 * len(centers) * grid, f"gen_mattila2(alpha={alpha}, levels={levels})")
     xs = [c - 1 for c in centers] + centers
     den_x = 2 * params.ratio.denominator**levels
     x_nums = _common_denominator_column(xs, den_x)
@@ -268,7 +271,6 @@ def gen_mattila3(delta: float, levels: int) -> PointSet:
     beta = delta / 2.0
     pa = CantorParams(alpha, levels)
     pb = CantorParams(beta, levels)
-    _check_size(8**levels, f"gen_mattila3(delta={delta}, levels={levels})")
     ca = gen_cantor_centers(pa)
     cb = gen_cantor_centers(pb)
     den_a = 2 * pa.ratio.denominator**levels

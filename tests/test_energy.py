@@ -125,6 +125,10 @@ class TestAdaptabilitySum:
             tracemalloc.stop()
         assert peak < 256 * 2**20
 
+    def test_mattila2_above_max_points(self):
+        # 6,284,544 points, summed over the classes of its axes
+        assert adaptability_sum(gen_mattila2(0.48, 7), 1.3).lambda_s == pytest.approx(5.480350429081992, rel=1e-12)
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_lenz_brute_pins(self, threads):
         # pinned bit for bit, so a change in the order of the per-axis r^2

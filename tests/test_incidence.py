@@ -273,6 +273,13 @@ class TestKernelPins:
         assert exact_valtr_incidences(n, d, caps=("upper",)).count == upper
         assert exact_valtr_incidences(n, d, caps=("lower",)).count == upper
 
+    @pytest.mark.parametrize("level, count", [(7, 3_915_315_604), (8, 71_721_571_140)])
+    def test_mattila2_above_max_points(self, level, count):
+        # 6,284,544 and 53,264,384 points: counted from the axes, no rows built
+        pset = gen_mattila2(0.48, level)
+        eps = pset.n_points ** (-1 / 1.48)
+        assert annulus_incidences(pset, Gauge(EUCLIDEAN, 2), 1.0, eps, "classes").count == count
+
     def test_evenly_spaced_last_axis_not_enumerated(self):
         # a 10^12-value last axis: only the head gap 1 with last gap 0 lies
         # at Euclidean distance 1, on 2 * 10^12 ordered pairs

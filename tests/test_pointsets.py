@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -47,8 +49,12 @@ class TestValtr:
         assert p.denominators == (3, 3, 9)
 
     def test_capacity_error(self):
-        with pytest.raises(CapacityError):
-            gen_valtr(2000, 2)
+        # the grid is held as its axes; only building its 8e9 rows is refused
+        p = gen_valtr(2000, 2)
+        assert p.n_points == 2000**3
+        for read in (lambda: p.numerators, p.to_floats, lambda: p.point(0)):
+            with pytest.raises(CapacityError, match="valtr set would produce 8000000000 points"):
+                read()
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
@@ -258,11 +264,12 @@ class TestAxes:
 
     def test_generators_carry_axes(self):
         p = gen_valtr(3, 2)
-        assert p.axes == ((0, 1, 2), tuple(range(1, 10)))
-        assert gen_lattice(2, 3).axes == ((0, 1),) * 3
-        assert gen_mattila2(0.5, 1).axes == ((-7, -1, 1, 7), (1, 3, 5, 7))
-        assert gen_mattila3(0.5, 0).axes == ((1,), (1,), (1,))
+        assert tuple(map(tuple, p.axes)) == ((0, 1, 2), tuple(range(1, 10)))
+        assert tuple(map(tuple, gen_lattice(2, 3).axes)) == ((0, 1),) * 3
+        assert tuple(map(tuple, gen_mattila2(0.5, 1).axes)) == ((-7, -1, 1, 7), (1, 3, 5, 7))
+        assert tuple(map(tuple, gen_mattila3(0.5, 0).axes)) == ((1,), (1,), (1,))
         assert gen_lenz(8).axes is None
+        assert all(isinstance(ax, range) for ax in p.axes + gen_lattice(2, 3).axes)
 
     @pytest.fixture()
     def no_rows(self, monkeypatch):
@@ -296,7 +303,60 @@ class TestAxes:
             PointSet(dim=2, denominators=(2, 2), axes=((0, 1),))
 
     def test_product_over_max_points_rejected(self, no_rows):
-        with pytest.raises(CapacityError):
-            PointSet(dim=21, denominators=(1,) * 21, axes=((0, 1),) * 21)
-        with pytest.raises(CapacityError):
-            PointSet(dim=2, denominators=(2_000_000, 2), axes=(range(2_000_000), (0, 1)))
+        # both sets are their axes; building their rows or float columns is
+        # refused before anything is allocated
+        for p in (
+            PointSet(dim=21, denominators=(1,) * 21, axes=((0, 1),) * 21),
+            PointSet(dim=2, denominators=(2_000_000, 2), axes=(range(2_000_000), (0, 1))),
+        ):
+            with pytest.raises(CapacityError):
+                p.numerators
+            tracemalloc.start()
+            try:
+                with pytest.raises(CapacityError):
+                    p.to_floats()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+
+    def test_large_generators_construct_without_rows(self, no_rows):
+        assert gen_valtr(512, 2).n_points == 512**3
+        assert gen_mattila2(0.48, 8).n_points == 2 * 2**8 * math.ceil(CantorParams(0.48, 8).inverse_ratio ** 8)
+        assert gen_mattila2(0.48, 8).n_points == 53_264_384
+        assert gen_lattice(2000, 2).n_points == 4_000_000
+
+    def test_rows_built_once_on_first_read(self, monkeypatch):
+        calls = []
+        product = itertools.product
+        monkeypatch.setattr(pointsets.itertools, "product", lambda *axes: calls.append(axes) or product(*axes))
+        p = PointSet(dim=2, denominators=(2, 3), axes=((-1, 1), range(0, 4, 2)))
+        assert calls == []
+        rows = p.numerators
+        assert rows == ((-1, 0), (-1, 2), (1, 0), (1, 2)) and p.numerators is rows
+        assert len(calls) == 1
+
+    def test_equal_and_hash_whether_or_not_rows_were_read(self, monkeypatch):
+        for make in (lambda: gen_valtr(3, 2), lambda: gen_lattice(3, 2), lambda: gen_mattila2(0.5, 1)):
+            read = make()
+            unread_hash = hash(read)
+            read.numerators
+            monkeypatch.setattr(pointsets.itertools, "product", None)  # a fresh copy builds no rows
+            fresh = make()
+            assert read == fresh and hash(read) == hash(fresh) == unread_hash
+            monkeypatch.undo()
+        assert gen_lenz(8) != gen_lenz(12)
+        assert PointSet(dim=1, denominators=(2,), numerators=((0,), (1,))) != PointSet(
+            dim=1, denominators=(2,), numerators=((0,), (2,))
+        )
+
+    def test_positive_step_range_kept_as_given(self, no_rows):
+        ax = range(-4, 5, 2)
+        p = PointSet(dim=1, denominators=(4,), axes=(ax,))
+        assert p.axes == (ax,) and p.n_points == 5
+
+    def test_descending_or_out_of_box_range_rejected(self, no_rows):
+        with pytest.raises(InputError):
+            PointSet(dim=1, denominators=(3,), axes=(range(3, 0, -1),))
+        with pytest.raises(InputError):
+            PointSet(dim=1, denominators=(2,), axes=(range(0, 5),))
