@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, InputError, ParameterError
-from .incidence import _axis_gaps, _map_row_chunks, _pair_r2
+from .errors import CapacityError, DivergenceError, InputError, ParameterError
+from .incidence import _MAX_PRODUCT_CLASSES, _axis_gaps, _even_step, _map_row_chunks, _pair_r2
 from .pointsets import PointSet, _column_floats, gen_valtr
 
 _CLASS_BLOCK = 1 << 20  # difference classes per NumPy block
+_MAX_ENERGY_CLASSES = 1 << 28  # difference classes one energy may sum in all
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,13 @@ class MonteCarloEstimate:
 def _grouped_pair_sum(axes, denominators, s: float) -> float:
     """sum_{p != q} |p - q|^-s over the product of these axes, one term per class of
     per-axis |gaps| (``incidence._axis_gaps``), each gap rounded to float once so no
-    difference cancels; head classes meet the last axis in blocks of <= _CLASS_BLOCK."""
-    gaps = list(map(_axis_gaps, axes))
+    difference cancels; head classes meet the last axis in blocks of <= _CLASS_BLOCK.
+    Refused before any block is built past the head and energy class limits."""
+    uneven = {j: _axis_gaps(ax) for j, ax in enumerate(axes) if _even_step(ax) is None}
+    sizes = [len(uneven[j]) if j in uneven else len(ax) for j, ax in enumerate(axes)]
+    if math.prod(sizes[:-1]) > _MAX_PRODUCT_CLASSES or math.prod(sizes) > _MAX_ENERGY_CLASSES:
+        raise CapacityError(f"{sizes} difference classes per axis exceed the energy limits")
+    gaps = [uneven[j] if j in uneven else _axis_gaps(ax) for j, ax in enumerate(axes)]
     sq = [_column_floats(list(g), den) ** 2 for g, den in zip(gaps, denominators)]
     mult = [np.fromiter(g.values(), np.int64, len(g)) for g in gaps]
     head_r2, head_mult = np.zeros(1), np.ones(1, dtype=np.int64)

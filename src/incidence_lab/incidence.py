@@ -64,11 +64,6 @@ def _validate_caps(caps) -> tuple[str, ...]:
     return caps
 
 
-def _valtr_index_columns(n: int, d: int, dtype) -> list[np.ndarray]:
-    grids = np.meshgrid(*(np.asarray(ax, dtype=dtype) for ax in gen_valtr(n, d).axes), indexing="ij")
-    return [g.ravel() for g in grids]
-
-
 def _brute_valtr_cap_counts(n: int, d: int, chunk: int = 1024) -> tuple[int, int, int]:
     """O(N^2) ordered-pair enumeration; (upper, lower, ridge) counts.
 
@@ -79,7 +74,7 @@ def _brute_valtr_cap_counts(n: int, d: int, chunk: int = 1024) -> tuple[int, int
     if N > 60_000:
         raise CapacityError(f"brute enumeration over {N}^2 ordered pairs refused")
     dtype = np.int16 if n <= 90 else np.int32
-    cols = _valtr_index_columns(n, d, dtype)
+    cols = [g.ravel() for g in np.meshgrid(*(np.asarray(ax, dtype) for ax in gen_valtr(n, d).axes), indexing="ij")]
     n2 = dtype(n * n)
     # rows i0..i1 against columns i0..N: the j > i triangle condition only
     # depends on the local offsets, so one precomputed mask serves all chunks

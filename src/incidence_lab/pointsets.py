@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -84,6 +85,8 @@ class PointSet:
         axes = tuple(ax if isinstance(ax, range) and ax.step > 0 else tuple(ax) for ax in self.axes)
         if len(axes) != self.dim:
             raise InputError("one axis per dimension is required")
+        if any(isinstance(ax, range) and ax.stop - ax.start > sys.maxsize for ax in axes):
+            raise CapacityError(f"an axis of the {self.label} set is too long to index")  # len() would overflow
         for ax, den in zip(axes, self.denominators):
             if isinstance(ax, tuple) and any(a >= b for a, b in zip(ax, ax[1:])):
                 raise InputError("axis numerators must be strictly increasing")
@@ -243,20 +246,23 @@ def _common_denominator_column(values: list[Fraction], den: int) -> list[int]:
     return nums
 
 
+def _cantor_axis(params: CantorParams) -> tuple[list[int], int]:
+    """The Cantor centers as numerators over 2 * q^levels, q the ratio's denominator."""
+    den = 2 * params.ratio.denominator**params.levels
+    return _common_denominator_column(gen_cantor_centers(params), den), den
+
+
 def gen_mattila2(alpha: float, levels: int) -> PointSet:
     """Product of a doubled Cantor-center set on the x-axis with an evenly
     spaced column: (C union (C - 1)) x {(k + 1/2)/G, 0 <= k < G} where
     G = ceil((1/ratio)^levels). Size is exactly 2 * 2^levels * G."""
     params = CantorParams(alpha, levels)
-    centers = gen_cantor_centers(params)
+    nums, den_x = _cantor_axis(params)
     grid = math.ceil(params.inverse_ratio**levels)
-    xs = [c - 1 for c in centers] + centers
-    den_x = 2 * params.ratio.denominator**levels
-    x_nums = _common_denominator_column(xs, den_x)
     return PointSet(
         dim=2,
         denominators=(den_x, 2 * grid),
-        axes=(x_nums, range(1, 2 * grid, 2)),
+        axes=([v - den_x for v in nums] + nums, range(1, 2 * grid, 2)),
         label="mattila2",
         s_dim=1.0 + alpha,
     )
@@ -269,14 +275,7 @@ def gen_mattila3(delta: float, levels: int) -> PointSet:
         raise ParameterError(f"delta must lie in (0, 2/3), got {delta!r}")
     alpha = 1.0 - delta
     beta = delta / 2.0
-    pa = CantorParams(alpha, levels)
-    pb = CantorParams(beta, levels)
-    ca = gen_cantor_centers(pa)
-    cb = gen_cantor_centers(pb)
-    den_a = 2 * pa.ratio.denominator**levels
-    den_b = 2 * pb.ratio.denominator**levels
-    a_nums = _common_denominator_column(ca, den_a)
-    b_nums = _common_denominator_column(cb, den_b)
+    (a_nums, den_a), (b_nums, den_b) = map(_cantor_axis, [CantorParams(alpha, levels), CantorParams(beta, levels)])
     return PointSet(
         dim=3,
         denominators=(den_a, den_a, den_b),

@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 from incidence_lab import (
+    CapacityError,
     DivergenceError,
     InputError,
     ParameterError,
@@ -128,6 +129,18 @@ class TestAdaptabilitySum:
     def test_mattila2_above_max_points(self):
         # 6,284,544 points, summed over the classes of its axes
         assert adaptability_sum(gen_mattila2(0.48, 7), 1.3).lambda_s == pytest.approx(5.480350429081992, rel=1e-12)
+
+    def test_class_limits_refuse_before_building(self):
+        # 2000^3 head classes; 2000 x 4,000,000 classes; 9842 x 104,032 classes
+        for pset in (gen_lattice(2000, 4), gen_valtr(2000, 2), gen_mattila2(0.48, 8)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(CapacityError, match="difference classes"):
+                    adaptability_sum(pset, 1.0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_lenz_brute_pins(self, threads):

@@ -322,9 +322,14 @@ class TestAxes:
 
     def test_large_generators_construct_without_rows(self, no_rows):
         assert gen_valtr(512, 2).n_points == 512**3
-        assert gen_mattila2(0.48, 8).n_points == 2 * 2**8 * math.ceil(CantorParams(0.48, 8).inverse_ratio ** 8)
         assert gen_mattila2(0.48, 8).n_points == 53_264_384
         assert gen_lattice(2000, 2).n_points == 4_000_000
+
+    def test_axis_too_long_to_index_rejected(self, no_rows):
+        # a range axis whose length overflows a machine int
+        for make in (lambda: gen_mattila2(0.01, 1), lambda: gen_lattice(2**70, 1)):
+            with pytest.raises(CapacityError, match="too long to index"):
+                make()
 
     def test_rows_built_once_on_first_read(self, monkeypatch):
         calls = []
