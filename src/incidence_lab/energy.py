@@ -3,8 +3,10 @@ cube measure.
 
 Distances are Euclidean throughout; the paraboloid gauge only enters the
 incidence counters. A set built from ``axes`` is summed over its difference
-classes, any other set over all pairs; float64 block totals are added
-exactly, so results are deterministic for any thread count.
+classes, any other set over all pairs in 2048-row chunks, each worker holding
+one 2048 x N r^2 chunk plus one row tile of it and its difference buffer;
+float64 chunk totals are added exactly, so results are bit-identical for any
+thread count.
 """
 
 from __future__ import annotations

@@ -8,7 +8,10 @@ ratio that drives the thickened-distance-band growth experiment. The exact
 Valtr count, the ``classes`` annulus method and the measure ratio share one
 band kernel over the per-axis gap multisets of a product set, in pure
 integer arithmetic; the Valtr counters read the axes of ``gen_valtr`` and
-never build its points. An O(N^2) brute-force Valtr oracle serves the tests.
+never build its points. The ``brute`` annulus method runs 2048-row chunks,
+on a thread pool when asked; each worker holds one 2048 x N r^2 chunk plus
+one row tile of it and its difference buffer, and the count is the same for
+any thread count. An O(N^2) brute-force Valtr oracle serves the tests.
 
 All pair counts are over ordered pairs.
 """
@@ -37,6 +40,7 @@ ALL_CAPS = (UPPER, LOWER, RIDGE)
 _PB_INNER = math.sqrt(3.0) / 2.0
 
 _CHUNK_ROWS = 2048
+_TILE_BYTES = 1 << 19  # one r^2 row tile and its difference buffer fit in L2
 _MAX_OCCUPIED_CELLS = 20_000
 _MAX_PRODUCT_CLASSES = 4_000_000
 
@@ -124,11 +128,25 @@ def exact_valtr_incidences(n: int, d: int, caps=ALL_CAPS, method: str = "exact_i
 
 
 def _pair_r2(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-    """|y - x|^2 for x in src (rows) and y in tgt (columns), summed axis by axis in order."""
-    r2 = np.zeros((len(src), len(tgt)))
-    for k in range(src.shape[1]):
-        diff = tgt[:, k] - src[:, k, None]
-        r2 += np.multiply(diff, diff, out=diff)
+    """|y - x|^2 for x in src (rows) and y in tgt (columns), summed axis by axis in order.
+
+    Filled in row tiles of about _TILE_BYTES through one reused difference
+    buffer, so each pass over a tile stays in cache; the first axis's square
+    is written as is (0 + x == x), so every element is the same sum in the
+    same order as an untiled per-axis loop."""
+    cols = np.ascontiguousarray(tgt.T)
+    r2 = np.empty((len(src), len(tgt)))
+    rows = max(1, _TILE_BYTES // r2.itemsize // len(tgt))
+    diff = np.empty((min(rows, len(src)), len(tgt)))
+    for i0 in range(0, len(src), rows):
+        out = r2[i0 : i0 + rows]
+        buf = diff[: len(out)]
+        for k, col in enumerate(cols):
+            np.subtract(col, src[i0 : i0 + rows, k, None], out=buf)
+            if k == 0:
+                np.multiply(buf, buf, out=out)
+            else:
+                out += np.multiply(buf, buf, out=buf)
     return r2
 
 

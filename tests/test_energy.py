@@ -149,6 +149,11 @@ class TestAdaptabilitySum:
         assert adaptability_sum(gen_lenz(1024), 1.5, threads=threads).lambda_s == 3.9156525835101306
         assert adaptability_sum(gen_lenz(2048), 1.5, threads=threads).lambda_s == 5.470277332563276
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_lenz_multichunk_pin(self, threads):
+        # two 2048-row chunks, pinned before the r^2 kernel was tiled
+        assert adaptability_sum(gen_lenz(4096), 1.5, threads=threads).lambda_s == 7.66884680955283
+
     def test_threads_deterministic(self):
         p = strip_axes(gen_valtr(3, 2))
         assert adaptability_sum(p, 1.4, threads=2).lambda_s == adaptability_sum(p, 1.4).lambda_s

@@ -22,7 +22,8 @@ from incidence_lab import (
     gen_mattila3,
     gen_valtr,
 )
-from incidence_lab.incidence import _annulus_classes
+from incidence_lab.energy import _brute_pair_sum
+from incidence_lab.incidence import _TILE_BYTES, _annulus_brute, _annulus_classes, _pair_r2
 
 
 def random_pointset(rng, dim, n, den=64):
@@ -140,6 +141,12 @@ class TestAnnulus:
         assert annulus_incidences(p, g, 1.0, 0.05, method="brute").count == 147560
         assert annulus_incidences(p, g, 1.0, 0.05, method="grid").count == 147560
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_lenz_euclidean_band_pin(self, threads):
+        # two 2048-row chunks, pinned before the r^2 kernel was tiled
+        p = gen_lenz(4096)
+        assert annulus_incidences(p, Gauge(EUCLIDEAN, 4), 1.0, 0.05, threads=threads).count == 155648
+
     def test_parameter_errors(self):
         p = gen_valtr(2, 2)
         g = Gauge(EUCLIDEAN, 2)
@@ -178,6 +185,35 @@ def random_product_set(rng, dim):
         dens.append(den)
         axes.append(sorted(rng.sample(range(-den, den + 1), rng.randint(1, 5 if dim == 2 else 4))))
     return PointSet(dim=dim, denominators=tuple(dens), axes=tuple(axes))
+
+
+class TestPairR2:
+    N = 1000
+    TILE = _TILE_BYTES // 8 // N  # rows per tile; divides neither N nor 2048
+
+    @pytest.mark.parametrize("n_src", [1, TILE - 1, TILE + 1, 2048])
+    def test_tiles_match_per_axis_reference(self, n_src):
+        rng = np.random.default_rng(n_src)
+        tgt = rng.normal(size=(self.N, 4)) * [1.0, 1e-3, 1e3, 1.0]
+        src = tgt[rng.integers(0, self.N, n_src)] + rng.normal(size=(n_src, 4)) * 1e-9
+        ref = np.zeros((n_src, self.N))
+        for k in range(4):
+            diff = tgt[:, k] - src[:, k, None]
+            ref += diff * diff
+        assert np.array_equal(_pair_r2(src, tgt).view(np.int64), ref.view(np.int64))
+
+    def test_brute_peaks_hold_one_chunk(self):
+        # one 2048 x 4096 r^2 chunk is 64 MiB; a full-size difference array
+        # per axis next to it would not fit under 100 MiB
+        pts = gen_lenz(4096).to_floats()
+        for run in (lambda: _brute_pair_sum(pts, 1.5, 1), lambda: _annulus_brute(pts, Gauge(EUCLIDEAN, 4), 1.0, 0.05, 1)):
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 100 * 2**20
 
 
 class TestAnnulusClasses:
