@@ -78,14 +78,22 @@ class FFSpectrum:
         return float(mags.max())
 
 
+def _square_sums(q: int, axes: int) -> np.ndarray:
+    """(x_1^2 + ... + x_axes^2) mod q on the (q,)*axes grid, built by
+    broadcasting the residues of the squares and reduced mod q after each
+    axis, in the smallest unsigned type that holds 2q."""
+    sq = (np.arange(q, dtype=np.int64) ** 2 % q).astype(np.min_scalar_type(2 * q))
+    total = sq.reshape((q,) + (1,) * (axes - 1))
+    for axis in range(1, axes):
+        total = total + sq.reshape((1,) * axis + (q,) + (1,) * (axes - 1 - axis))
+        total %= q
+    return total
+
+
 def ff_sphere(q: int, d: int, t: int) -> FFSet:
     """{x in F_q^d : x_1^2 + ... + x_d^2 = t}."""
     _validate_grid(q, d)
-    grids = np.indices((q,) * d)
-    total = np.zeros((q,) * d, dtype=np.int64)
-    for g in grids:
-        total += g * g
-    return FFSet(q=q, dim=d, indicator=(total % q) == (t % q))
+    return FFSet(q=q, dim=d, indicator=_square_sums(q, d) == t % q)
 
 
 def ff_paraboloid(q: int, d: int) -> FFSet:
@@ -93,23 +101,15 @@ def ff_paraboloid(q: int, d: int) -> FFSet:
     _validate_grid(q, d)
     if d < 2:
         raise ParameterError("the paraboloid needs dim >= 2")
-    grids = np.indices((q,) * d)
-    rhs = np.zeros((q,) * d, dtype=np.int64)
-    for g in grids[:-1]:
-        rhs += g * g
-    return FFSet(q=q, dim=d, indicator=(rhs % q) == grids[-1])
+    rhs = _square_sums(q, d - 1)
+    return FFSet(q=q, dim=d, indicator=rhs[..., None] == np.arange(q, dtype=rhs.dtype))
 
 
 def ff_fourier(S: FFSet) -> FFSpectrum:
-    """Exact-formula DFT, evaluated axis by axis (cost O(d * q^(d+1)))."""
-    q = S.q
-    k = np.arange(q)
-    w = np.exp(-2j * np.pi * np.outer(k, k) / q)
-    arr = S.indicator.astype(np.complex128)
-    for _ in range(S.dim):
-        arr = np.tensordot(w, arr, axes=([1], [0]))
-        arr = np.moveaxis(arr, 0, -1)
-    return FFSpectrum(q=q, dim=S.dim, values=arr / q**S.dim)
+    """The DFT f_hat(m) = q^-d sum_x exp(-2 pi i x.m / q) f(x), which is
+    NumPy's forward FFT (Bluestein's algorithm for a prime length q); cost
+    O(q^d log q)."""
+    return FFSpectrum(q=S.q, dim=S.dim, values=np.fft.fftn(S.indicator) / S.q**S.dim)
 
 
 def ff_inverse_at(spec: FFSpectrum, x) -> complex:

@@ -42,6 +42,7 @@ _PB_INNER = math.sqrt(3.0) / 2.0
 _CHUNK_ROWS = 2048
 _TILE_BYTES = 1 << 19  # one r^2 row tile and its difference buffer fit in L2
 _MAX_OCCUPIED_CELLS = 20_000
+_PRUNE_PAIRS = 1 << 20  # cell pairs per block of the grid prune
 _MAX_PRODUCT_CLASSES = 4_000_000
 
 
@@ -182,38 +183,56 @@ def _annulus_brute(pts: np.ndarray, g: Gauge, t: float, eps: float, threads: int
 
 
 def _annulus_grid(pts: np.ndarray, g: Gauge, t: float, eps: float) -> int:
-    """Bucket points into cells of side max(eps, t/64) and test only pairs
-    whose cells can hold a distance inside the band: two cells at offset o
-    contain points at Euclidean distance between h*|max(|o|-1, 0)| and
-    h*|(|o|+1)|, so everything outside [inner, outer] is pruned. Membership
-    uses the same gauge evaluation as the brute method, hence the counts
-    agree exactly."""
+    """Bucket points into cells of side h = max(eps, t/64) and test only pairs
+    whose cells can hold a distance inside the band: two cells whose index
+    gaps are g_k contain points at Euclidean distance between h*sqrt(S_min)
+    and h*sqrt(S_max), S_min = sum max(g_k - 1, 0)^2 and
+    S_max = sum (g_k + 1)^2, so everything outside [inner, outer] is pruned.
+    Both float tests are tabulated once over the integer sums, which are
+    accumulated axis by axis in blocks of about 2^20 cell pairs, so every
+    prune decision is the one a per-pair float test makes. A gap is clipped
+    at ceil(outer/h) + 2, past which the pair is too far either way (h*sqrt
+    is monotone in S), so the table has about d*68^2 entries at most:
+    outer/h <= 65 since h >= eps and h >= t/64. Membership uses the same
+    gauge evaluation as the brute method, hence the counts agree exactly."""
     d = pts.shape[1]
     h = max(eps, t / 64.0)
     inner = t * (_PB_INNER if g.kind == PARABOLOID_BODY else 1.0)
     outer = t + eps
-    cell_idx = np.floor(pts / h).astype(np.int64)
-    keys, inverse = np.unique(cell_idx, axis=0, return_inverse=True)
+    keys, inverse = np.unique(np.floor(pts / h).astype(np.int64), axis=0, return_inverse=True)
     n_cells = len(keys)
     if n_cells > _MAX_OCCUPIED_CELLS:
         raise CapacityError(f"{n_cells} occupied cells exceed the grid-method limit; use method='brute'")
     order = np.argsort(inverse, kind="stable")
+    by_cell = pts[order]
     bounds = np.searchsorted(inverse[order], np.arange(n_cells + 1))
-    members = [order[bounds[i] : bounds[i + 1]] for i in range(n_cells)]
+    sizes = np.diff(bounds)
+    clip = math.ceil(outer / h) + 2
+    gaps = np.arange(clip + 1)
+    sq_min, sq_max = (np.maximum(gaps - 1, 0) ** 2).astype(np.int32), ((gaps + 1) ** 2).astype(np.int32)
+    sums = np.sqrt(np.arange(d * (clip + 1) ** 2 + 1))
+    close, far = h * sums <= outer, h * sums >= inner
     count = 0
-    chunk = max(1, 4_000_000 // max(1, n_cells * d))
-    for i0 in range(0, n_cells, chunk):
-        gap = np.abs(keys[None, :, :] - keys[i0 : i0 + chunk, None, :])
-        dmin = h * np.sqrt((np.maximum(gap - 1, 0) ** 2).sum(axis=-1))
-        dmax = h * np.sqrt(((gap + 1) ** 2).sum(axis=-1))
-        near = (dmin <= outer) & (dmax >= inner)
-        for row in range(near.shape[0]):
-            tgt_cells = np.nonzero(near[row])[0]
+    rows = max(1, _PRUNE_PAIRS // n_cells)
+    for i0 in range(0, n_cells, rows):
+        for k in range(d):
+            gap = np.subtract(keys[None, :, k], keys[i0 : i0 + rows, None, k])
+            np.minimum(np.abs(gap, out=gap), clip, out=gap)
+            if k == 0:
+                s_min, s_max = sq_min.take(gap), sq_max.take(gap)
+            else:
+                s_min += sq_min.take(gap)
+                s_max += sq_max.take(gap)
+        near = close.take(s_min) & far.take(s_max)
+        for row, targets in enumerate(near, start=i0):
+            tgt_cells = np.nonzero(targets)[0]
             if tgt_cells.size == 0:
                 continue
-            src = pts[members[i0 + row]]
-            tgt = pts[np.concatenate([members[j] for j in tgt_cells])]
-            count += _band_count_block(g, src, tgt, t, eps)
+            # each target cell's run of by_cell, concatenated: run start + ramp
+            lengths = sizes[tgt_cells]
+            ends = np.cumsum(lengths)
+            idx = np.repeat(bounds[tgt_cells] - ends + lengths, lengths) + np.arange(ends[-1])
+            count += _band_count_block(g, by_cell[bounds[row] : bounds[row + 1]], by_cell[idx], t, eps)
     return count
 
 

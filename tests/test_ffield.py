@@ -46,6 +46,17 @@ class TestVarieties:
                 size = ff_sphere(q, d, t).size
                 assert 1 - 2 / math.sqrt(q) <= size / q ** (d - 1) <= 1 + 2 / math.sqrt(q)
 
+    @pytest.mark.parametrize("q", [3, 5, 11, 13])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_indicators_equal_definition(self, q, d):
+        x = np.indices((q,) * d)
+        head = (x[:-1] ** 2).sum(axis=0)
+        expected = {"paraboloid": head % q == x[-1]}
+        expected |= {t: (head + x[-1] ** 2) % q == t for t in range(q)}
+        for key, want in expected.items():
+            got = ff_paraboloid(q, d) if key == "paraboloid" else ff_sphere(q, d, key)
+            assert got.indicator.dtype == np.bool_ and np.array_equal(got.indicator, want), key
+
     def test_prime_required(self):
         with pytest.raises(ParameterError):
             ff_sphere(6, 2, 1)
@@ -100,6 +111,17 @@ class TestFourier:
             val = ff_inverse_at(spec, x)
             assert val.real == pytest.approx(float(e.indicator[x]), abs=1e-9)
             assert abs(val.imag) < 1e-9
+
+
+    @pytest.mark.parametrize("name", ["sharpness", "paraboloid"])
+    def test_matches_reduced_phase_dft_q809(self, name):
+        # reference: phases reduced mod q before exp, one axis at a time
+        q = 809
+        s = sharpness_set(q, 0.1, 2) if name == "sharpness" else ff_paraboloid(q, 2)
+        k = np.arange(q)
+        w = np.exp(-2j * np.pi * (np.outer(k, k) % q) / q)
+        ref = w @ s.indicator.astype(np.complex128) @ w.T / q**2
+        assert np.abs(ff_fourier(s).values - ref).max() <= 1e-16
 
 
 class TestPairCount:

@@ -23,7 +23,7 @@ from incidence_lab import (
     gen_valtr,
 )
 from incidence_lab.energy import _brute_pair_sum
-from incidence_lab.incidence import _TILE_BYTES, _annulus_brute, _annulus_classes, _pair_r2
+from incidence_lab.incidence import _PRUNE_PAIRS, _TILE_BYTES, _annulus_brute, _annulus_classes, _pair_r2
 
 
 def random_pointset(rng, dim, n, den=64):
@@ -156,6 +156,76 @@ class TestAnnulus:
             annulus_incidences(p, g, 1.0, -0.1)
         with pytest.raises(ParameterError):
             annulus_incidences(p, Gauge(EUCLIDEAN, 3), 1.0, 0.1)
+
+
+class TestGridPrune:
+    """The grid method prunes cell pairs by a table over the integer sums of
+    squared cell gaps; every prune decision, and so every count, must be the
+    one the per-pair float test makes, which the brute method shares."""
+
+    @pytest.mark.parametrize("kind", [EUCLIDEAN, PARABOLOID_BODY])
+    def test_equals_brute_over_several_prune_blocks(self, kind):
+        # one point per cell of side t/64 = 1/128, on a 1/64 lattice
+        pset = random_pointset(np.random.default_rng(77), 2, 2500)
+        n_cells = len(np.unique(np.floor(pset.to_floats() * 128), axis=0))
+        assert n_cells**2 > 4 * _PRUNE_PAIRS
+        g = Gauge(kind, 2)
+        for t, eps in [(0.5, 0.0), (0.5, 0.05), (1.3, 0.01)]:
+            brute = annulus_incidences(pset, g, t, eps, method="brute").count
+            assert annulus_incidences(pset, g, t, eps, method="grid").count == brute, (t, eps)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_equals_brute_on_far_apart_clusters(self, dim):
+        # clusters at opposite corners, with bands a few 10^-7 wide: cell
+        # gaps of about 10^7 per axis, so an unclipped sum table would need
+        # about 10^14 entries per axis
+        den = 10**7
+        near = np.random.default_rng(dim).integers(0, 20, size=(60, dim))
+        rows = {tuple(int(v) for v in r) for block in (near - den, near + den - 20) for r in block}
+        pset = PointSet(dim=dim, denominators=(den,) * dim, numerators=tuple(sorted(rows)))
+        for kind in (EUCLIDEAN, PARABOLOID_BODY):
+            g = Gauge(kind, dim)
+            for t, eps in [(3e-7, 2e-7), (1e-6, 5e-7)]:
+                brute = annulus_incidences(pset, g, t, eps, method="brute").count
+                assert brute > 0
+                assert annulus_incidences(pset, g, t, eps, method="grid").count == brute, (kind, t, eps)
+
+    @pytest.mark.parametrize(
+        "n, kind, t, eps, count",
+        [
+            (1024, EUCLIDEAN, 1.0, 0.05, 10240),
+            (1024, EUCLIDEAN, 1.4, 0.03, 530432),
+            (1024, PARABOLOID_BODY, 1.0, 0.05, 9464),
+            (1024, PARABOLOID_BODY, 1.4, 0.03, 16256),
+            (4096, EUCLIDEAN, 1.0, 0.05, 155648),
+            (4096, EUCLIDEAN, 1.4, 0.03, 8503296),
+            (4096, PARABOLOID_BODY, 1.0, 0.05, 147560),
+            (4096, PARABOLOID_BODY, 1.4, 0.03, 278208),
+        ],
+    )
+    def test_lenz_pins(self, n, kind, t, eps, count):
+        # pinned from the brute method, which gives the same counts
+        assert annulus_incidences(gen_lenz(n), Gauge(kind, 4), t, eps, method="grid").count == count
+
+    def test_lattice_float_count_pin(self):
+        # the float decision misses edge ties: the exact count is 1744 (see
+        # test_lattice_edge_ties); pinned so the prune cannot move it
+        p = gen_lattice(12, 2)
+        assert annulus_incidences(p, Gauge(EUCLIDEAN, 2), 0.5, 0.05, method="grid").count == 1696
+
+    def test_prune_peak(self):
+        # 1792 occupied cells; a float array over all 3.2M cell pairs and
+        # both axes would not fit under 40 MiB
+        pset = gen_mattila2(0.48, 4)
+        eps = pset.n_points ** (-1.0 / 1.48)
+        tracemalloc.start()
+        try:
+            count = annulus_incidences(pset, Gauge(EUCLIDEAN, 2), 1.0, eps, method="grid").count
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 608216
+        assert peak < 40 * 2**20
 
 
 def band_oracle(pset, kind, t, eps):
