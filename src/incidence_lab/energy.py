@@ -3,10 +3,10 @@ cube measure.
 
 Distances are Euclidean throughout; the paraboloid gauge only enters the
 incidence counters. A set built from ``axes`` is summed over its difference
-classes, any other set over all pairs in 2048-row chunks, each worker holding
-one 2048 x N r^2 chunk plus one row tile of it and its difference buffer;
-float64 chunk totals are added exactly, so results are bit-identical for any
-thread count.
+classes, any other set over the upper triangle of its pairs in tiles of about
+512 KiB, each worker holding one r^2 tile and its difference buffer; float64
+tile totals are added exactly and doubled, so results are bit-identical for
+any thread count.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DivergenceError, InputError, ParameterError
-from .incidence import _MAX_PRODUCT_CLASSES, _axis_gaps, _even_step, _map_row_chunks, _pair_r2
+from .incidence import _MAX_PRODUCT_CLASSES, _axis_gaps, _even_step, _map_upper_tiles
 from .pointsets import PointSet, _column_floats, gen_valtr
 
 _CLASS_BLOCK = 1 << 20  # difference classes per NumPy block
@@ -73,14 +73,14 @@ def _grouped_pair_sum(axes, denominators, s: float) -> float:
 
 
 def _brute_pair_sum(pts: np.ndarray, s: float, threads: int) -> float:
-    def one(rows):
-        r2 = _pair_r2(pts[rows], pts)
-        local = np.arange(len(r2))
-        r2[local, rows.start + local] = np.inf  # p = q contributes 0
-        with np.errstate(divide="ignore"):
+    """Twice the sum over the upper triangle (j > i) of |p_j - p_i|^-s; the tile
+    sums are added exactly, so the result does not depend on the thread count."""
+
+    def one(r2, i0, i1):
+        with np.errstate(divide="ignore"):  # a collision gives inf, reported by the caller
             return float(np.power(r2, -s / 2.0, out=r2).sum())
 
-    return math.fsum(_map_row_chunks(one, len(pts), threads))
+    return 2.0 * math.fsum(_map_upper_tiles(one, pts, threads))
 
 
 def adaptability_sum(P: PointSet, s: float, threads: int = 1) -> EnergyReport:

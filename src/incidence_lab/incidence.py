@@ -8,10 +8,11 @@ ratio that drives the thickened-distance-band growth experiment. The exact
 Valtr count, the ``classes`` annulus method and the measure ratio share one
 band kernel over the per-axis gap multisets of a product set, in pure
 integer arithmetic; the Valtr counters read the axes of ``gen_valtr`` and
-never build its points. The ``brute`` annulus method runs 2048-row chunks,
-on a thread pool when asked; each worker holds one 2048 x N r^2 chunk plus
-one row tile of it and its difference buffer, and the count is the same for
-any thread count. An O(N^2) brute-force Valtr oracle serves the tests.
+never build its points. The ``brute`` annulus method decides each
+unordered pair once, in tiles of the upper triangle of about 512 KiB that
+go round robin to a thread pool when asked; each worker holds one r^2 tile
+and its difference buffer, and the count is the same for any thread count.
+An O(N^2) brute-force Valtr oracle serves the tests.
 
 All pair counts are over ordered pairs.
 """
@@ -39,8 +40,7 @@ ALL_CAPS = (UPPER, LOWER, RIDGE)
 # with the flattest point at |x'|^2 = 1/2. Used for conservative prefilters.
 _PB_INNER = math.sqrt(3.0) / 2.0
 
-_CHUNK_ROWS = 2048
-_TILE_BYTES = 1 << 19  # one r^2 row tile and its difference buffer fit in L2
+_TILE_BYTES = 1 << 19  # one r^2 tile and its difference buffer fit in L2
 _MAX_OCCUPIED_CELLS = 20_000
 _PRUNE_PAIRS = 1 << 20  # cell pairs per block of the grid prune
 _MAX_PRODUCT_CLASSES = 4_000_000
@@ -128,34 +128,69 @@ def exact_valtr_incidences(n: int, d: int, caps=ALL_CAPS, method: str = "exact_i
     )
 
 
-def _pair_r2(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-    """|y - x|^2 for x in src (rows) and y in tgt (columns), summed axis by axis in order.
+def _fill_r2(out: np.ndarray, buf: np.ndarray, src: np.ndarray, cols: np.ndarray) -> None:
+    """out[i, j] = |y_j - x_i|^2 for x in src and y in cols (one row per
+    axis), summed axis by axis in order through the difference buffer buf;
+    the first axis's square is written as is (0 + x == x)."""
+    for k, col in enumerate(cols):
+        np.subtract(col, src[:, k, None], out=buf)
+        if k == 0:
+            np.multiply(buf, buf, out=out)
+        else:
+            out += np.multiply(buf, buf, out=buf)
 
-    Filled in row tiles of about _TILE_BYTES through one reused difference
-    buffer, so each pass over a tile stays in cache; the first axis's square
-    is written as is (0 + x == x), so every element is the same sum in the
-    same order as an untiled per-axis loop."""
+
+def _pair_r2(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """|y - x|^2 for x in src (rows) and y in tgt (columns), filled in row
+    tiles of about _TILE_BYTES through one reused difference buffer, so each
+    pass over a tile stays in cache."""
     cols = np.ascontiguousarray(tgt.T)
     r2 = np.empty((len(src), len(tgt)))
     rows = max(1, _TILE_BYTES // r2.itemsize // len(tgt))
     diff = np.empty((min(rows, len(src)), len(tgt)))
     for i0 in range(0, len(src), rows):
         out = r2[i0 : i0 + rows]
-        buf = diff[: len(out)]
-        for k, col in enumerate(cols):
-            np.subtract(col, src[i0 : i0 + rows, k, None], out=buf)
-            if k == 0:
-                np.multiply(buf, buf, out=out)
-            else:
-                out += np.multiply(buf, buf, out=buf)
+        _fill_r2(out, diff[: len(out)], src[i0 : i0 + rows], cols)
     return r2
 
 
-def _band_count_block(g: Gauge, src: np.ndarray, tgt: np.ndarray, t: float, eps: float) -> int:
+def _map_upper_tiles(fn, pts: np.ndarray, threads: int) -> list:
+    """fn(r2, i0, i1) for each tile of rows i0..i1 against columns i0..N-1,
+    with r2[i - i0, j - i0] = |p_j - p_i|^2 and inf where j <= i: each
+    unordered pair once, as a - b == -(b - a) makes r^2 the same float64
+    both ways round. A tile holds about _TILE_BYTES (one row when a row is
+    larger), so the boundaries depend on N only; tiles go round robin to
+    ``threads`` workers, each with one reused r^2 and difference buffer,
+    and the results come back in no fixed order."""
+    n, bounds = len(pts), [0]
+    while bounds[-1] < n:
+        bounds.append(min(n, bounds[-1] + max(1, _TILE_BYTES // 8 // (n - bounds[-1]))))
+    tiles = list(zip(bounds, bounds[1:]))
+    cols = np.ascontiguousarray(pts.T)
+    size = max((i1 - i0) * (n - i0) for i0, i1 in tiles)
+    lower = np.tri(max(i1 - i0 for i0, i1 in tiles), dtype=bool)
+
+    def work(w):
+        r2_buf, diff_buf, out = np.empty(size), np.empty(size), []
+        for i0, i1 in tiles[w::threads]:
+            rows, shape = i1 - i0, (i1 - i0, n - i0)
+            r2 = r2_buf[: rows * shape[1]].reshape(shape)
+            _fill_r2(r2, diff_buf[: r2.size].reshape(shape), pts[i0:i1], cols[:, i0:])
+            np.copyto(r2[:, :rows], np.inf, where=lower[:rows, :rows])
+            out.append(fn(r2, i0, i1))
+        return out
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return [v for part in pool.map(work, range(threads)) for v in part]
+    return work(0)
+
+
+def _band_count(g: Gauge, r2: np.ndarray, src: np.ndarray, tgt: np.ndarray, t: float, eps: float) -> int:
     """Pairs (x in src, y in tgt) with t <= ||y - x|| <= t + eps, both ends
-    closed. Self-pairs evaluate to 0 and are excluded by t > 0."""
+    closed, given r2 = |y - x|^2 (overwritten); an r2 of 0 (x = y) or inf
+    is outside the band."""
     hi = t + eps
-    r2 = _pair_r2(src, tgt)
     if g.kind == PARABOLOID_BODY:
         i, j = np.nonzero((r2 >= (t * _PB_INNER) ** 2) & (r2 <= hi * hi))
         v = gauge_values(g, tgt[j] - src[i])
@@ -164,22 +199,11 @@ def _band_count_block(g: Gauge, src: np.ndarray, tgt: np.ndarray, t: float, eps:
     return int(((v >= t) & (v <= hi)).sum())
 
 
-def _map_row_chunks(fn, n_rows: int, threads: int) -> list:
-    """fn(rows) for consecutive row slices of at most _CHUNK_ROWS rows,
-    returned in slice order; the slices run on a thread pool when
-    threads > 1."""
-    chunks = [slice(i0, min(i0 + _CHUNK_ROWS, n_rows)) for i0 in range(0, n_rows, _CHUNK_ROWS)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, chunks))
-    return [fn(rows) for rows in chunks]
-
-
 def _annulus_brute(pts: np.ndarray, g: Gauge, t: float, eps: float, threads: int) -> int:
-    def one(rows):
-        return _band_count_block(g, pts[rows], pts, t, eps)
+    def one(r2, i0, i1):
+        return _band_count(g, r2, pts[i0:i1], pts[i0:], t, eps)
 
-    return sum(_map_row_chunks(one, len(pts), threads))
+    return 2 * sum(_map_upper_tiles(one, pts, threads))  # r^2 and the gauge are symmetric
 
 
 def _annulus_grid(pts: np.ndarray, g: Gauge, t: float, eps: float) -> int:
@@ -232,7 +256,8 @@ def _annulus_grid(pts: np.ndarray, g: Gauge, t: float, eps: float) -> int:
             lengths = sizes[tgt_cells]
             ends = np.cumsum(lengths)
             idx = np.repeat(bounds[tgt_cells] - ends + lengths, lengths) + np.arange(ends[-1])
-            count += _band_count_block(g, by_cell[bounds[row] : bounds[row + 1]], by_cell[idx], t, eps)
+            src, tgt = by_cell[bounds[row] : bounds[row + 1]], by_cell[idx]
+            count += _band_count(g, _pair_r2(src, tgt), src, tgt, t, eps)
     return count
 
 

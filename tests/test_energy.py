@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from incidence_lab import (
@@ -145,14 +146,29 @@ class TestAdaptabilitySum:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_lenz_brute_pins(self, threads):
         # pinned bit for bit, so a change in the order of the per-axis r^2
-        # sums shows
+        # sums shows; both equal the correctly rounded sum of their N^2 terms
         assert adaptability_sum(gen_lenz(1024), 1.5, threads=threads).lambda_s == 3.9156525835101306
-        assert adaptability_sum(gen_lenz(2048), 1.5, threads=threads).lambda_s == 5.470277332563276
+        assert adaptability_sum(gen_lenz(2048), 1.5, threads=threads).lambda_s == 5.470277332563277
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_lenz_multichunk_pin(self, threads):
-        # two 2048-row chunks, pinned before the r^2 kernel was tiled
-        assert adaptability_sum(gen_lenz(4096), 1.5, threads=threads).lambda_s == 7.66884680955283
+        # many upper-triangle tiles; equals the correctly rounded sum of its
+        # N^2 terms
+        assert adaptability_sum(gen_lenz(4096), 1.5, threads=threads).lambda_s == 7.668846809552831
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_lenz_within_one_ulp_of_fsum(self, threads):
+        # the reference is the correctly rounded sum of all N^2 float terms
+        for n in (64, 128, 256, 512, 1024):
+            pts = gen_lenz(n).to_floats()
+            r2 = np.zeros((n, n))
+            for k in range(pts.shape[1]):
+                diff = pts[:, k] - pts[:, k, None]
+                r2 += diff * diff
+            np.fill_diagonal(r2, np.inf)
+            want = math.fsum(np.power(r2, -0.75).ravel()) / (n * n)
+            got = adaptability_sum(gen_lenz(n), 1.5, threads=threads).lambda_s
+            assert abs(got - want) <= math.ulp(want), n
 
     def test_threads_deterministic(self):
         p = strip_axes(gen_valtr(3, 2))

@@ -23,7 +23,14 @@ from incidence_lab import (
     gen_valtr,
 )
 from incidence_lab.energy import _brute_pair_sum
-from incidence_lab.incidence import _PRUNE_PAIRS, _TILE_BYTES, _annulus_brute, _annulus_classes, _pair_r2
+from incidence_lab.incidence import (
+    _PRUNE_PAIRS,
+    _TILE_BYTES,
+    _annulus_brute,
+    _annulus_classes,
+    _map_upper_tiles,
+    _pair_r2,
+)
 
 
 def random_pointset(rng, dim, n, den=64):
@@ -143,7 +150,7 @@ class TestAnnulus:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_lenz_euclidean_band_pin(self, threads):
-        # two 2048-row chunks, pinned before the r^2 kernel was tiled
+        # pinned at the 2048-row chunk loop; the upper-triangle tiles count the same
         p = gen_lenz(4096)
         assert annulus_incidences(p, Gauge(EUCLIDEAN, 4), 1.0, 0.05, threads=threads).count == 155648
 
@@ -272,18 +279,45 @@ class TestPairR2:
             ref += diff * diff
         assert np.array_equal(_pair_r2(src, tgt).view(np.int64), ref.view(np.int64))
 
-    def test_brute_peaks_hold_one_chunk(self):
-        # one 2048 x 4096 r^2 chunk is 64 MiB; a full-size difference array
-        # per axis next to it would not fit under 100 MiB
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_upper_tiles_match_per_axis_reference(self, threads):
+        rng = np.random.default_rng(threads)
+        pts = rng.normal(size=(self.N, 4)) * [1.0, 1e-3, 1e3, 1.0]
+        ref = np.zeros((self.N, self.N))
+        for k in range(4):
+            diff = pts[:, k] - pts[:, k, None]
+            ref += diff * diff
+        got = np.full((self.N, self.N), np.inf)  # columns j < i0 belong to no tile
+        for i0, tile in _map_upper_tiles(lambda r2, i0, i1: (i0, r2.copy()), pts, threads):
+            got[i0 : i0 + len(tile), i0:] = tile
+        upper = np.triu(np.ones((self.N, self.N), dtype=bool), k=1)
+        assert np.array_equal(got[upper].view(np.int64), ref[upper].view(np.int64))
+        assert np.all(got[~upper] == np.inf)
+
+    def test_threads_do_not_change_brute_results(self):
+        # an odd number of row-built points, over many tiles
+        pts = random_pointset(np.random.default_rng(3), 3, 1501).to_floats()
+        for kind in (EUCLIDEAN, PARABOLOID_BODY):
+            counts = {threads: _annulus_brute(pts, Gauge(kind, 3), 0.5, 0.1, threads) for threads in (1, 2, 3)}
+            assert counts[1] > 0 and counts[1] == counts[2] == counts[3]
+        sums = {threads: _brute_pair_sum(pts, 1.3, threads) for threads in (1, 2, 3)}
+        assert sums[1] == sums[2] == sums[3]
+
+    def test_brute_peaks_hold_tiles(self):
+        # each worker holds one r^2 tile and its difference buffer, 2 x 512
+        # KiB; one 2048 x 4096 r^2 chunk alone would be 64 MiB
         pts = gen_lenz(4096).to_floats()
-        for run in (lambda: _brute_pair_sum(pts, 1.5, 1), lambda: _annulus_brute(pts, Gauge(EUCLIDEAN, 4), 1.0, 0.05, 1)):
-            tracemalloc.start()
-            try:
-                run()
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 100 * 2**20
+        runs = [lambda threads: _brute_pair_sum(pts, 1.5, threads)]
+        runs += [lambda threads, g=Gauge(kind, 4): _annulus_brute(pts, g, 1.0, 0.05, threads) for kind in (EUCLIDEAN, PARABOLOID_BODY)]
+        for run in runs:
+            for threads in (1, 2):
+                tracemalloc.start()
+                try:
+                    run(threads)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < 8 * 2**20
 
 
 class TestAnnulusClasses:
