@@ -12,6 +12,9 @@ never build its points. The ``brute`` annulus method decides each
 unordered pair once, in tiles of the upper triangle of about 512 KiB that
 go round robin to a thread pool when asked; each worker holds one r^2 tile
 and its difference buffer, and the count is the same for any thread count.
+The ``grid`` method finds the target cells of each source cell by binary
+search on the sorted cell keys and counts its candidate pairs in chunks of
+about 2^16, with the brute method's r^2 and band test.
 An O(N^2) brute-force Valtr oracle serves the tests.
 
 All pair counts are over ordered pairs.
@@ -42,7 +45,8 @@ _PB_INNER = math.sqrt(3.0) / 2.0
 
 _TILE_BYTES = 1 << 19  # one r^2 tile and its difference buffer fit in L2
 _MAX_OCCUPIED_CELLS = 20_000
-_PRUNE_PAIRS = 1 << 20  # cell pairs per block of the grid prune
+_PRUNE_PAIRS = 1 << 18  # (source cell, head) pairs per block of the grid prune
+_CHUNK_PAIRS = 1 << 16  # candidate pairs per chunk of the grid count
 _MAX_PRODUCT_CLASSES = 4_000_000
 
 
@@ -128,30 +132,17 @@ def exact_valtr_incidences(n: int, d: int, caps=ALL_CAPS, method: str = "exact_i
     )
 
 
-def _fill_r2(out: np.ndarray, buf: np.ndarray, src: np.ndarray, cols: np.ndarray) -> None:
-    """out[i, j] = |y_j - x_i|^2 for x in src and y in cols (one row per
-    axis), summed axis by axis in order through the difference buffer buf;
-    the first axis's square is written as is (0 + x == x)."""
-    for k, col in enumerate(cols):
-        np.subtract(col, src[:, k, None], out=buf)
+def _fill_r2(out: np.ndarray, buf: np.ndarray, src, cols: np.ndarray) -> None:
+    """out = |y - x|^2 for y in cols (one row per axis) and x in src (one
+    entry per axis, broadcast against that axis's row of cols), summed axis
+    by axis in order through the difference buffer buf; the first axis's
+    square is written as is (0 + x == x)."""
+    for k, (x, col) in enumerate(zip(src, cols)):
+        np.subtract(col, x, out=buf)
         if k == 0:
             np.multiply(buf, buf, out=out)
         else:
             out += np.multiply(buf, buf, out=buf)
-
-
-def _pair_r2(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-    """|y - x|^2 for x in src (rows) and y in tgt (columns), filled in row
-    tiles of about _TILE_BYTES through one reused difference buffer, so each
-    pass over a tile stays in cache."""
-    cols = np.ascontiguousarray(tgt.T)
-    r2 = np.empty((len(src), len(tgt)))
-    rows = max(1, _TILE_BYTES // r2.itemsize // len(tgt))
-    diff = np.empty((min(rows, len(src)), len(tgt)))
-    for i0 in range(0, len(src), rows):
-        out = r2[i0 : i0 + rows]
-        _fill_r2(out, diff[: len(out)], src[i0 : i0 + rows], cols)
-    return r2
 
 
 def _map_upper_tiles(fn, pts: np.ndarray, threads: int) -> list:
@@ -175,7 +166,7 @@ def _map_upper_tiles(fn, pts: np.ndarray, threads: int) -> list:
         for i0, i1 in tiles[w::threads]:
             rows, shape = i1 - i0, (i1 - i0, n - i0)
             r2 = r2_buf[: rows * shape[1]].reshape(shape)
-            _fill_r2(r2, diff_buf[: r2.size].reshape(shape), pts[i0:i1], cols[:, i0:])
+            _fill_r2(r2, diff_buf[: r2.size].reshape(shape), cols[:, i0:i1, None], cols[:, i0:])
             np.copyto(r2[:, :rows], np.inf, where=lower[:rows, :rows])
             out.append(fn(r2, i0, i1))
         return out
@@ -186,14 +177,14 @@ def _map_upper_tiles(fn, pts: np.ndarray, threads: int) -> list:
     return work(0)
 
 
-def _band_count(g: Gauge, r2: np.ndarray, src: np.ndarray, tgt: np.ndarray, t: float, eps: float) -> int:
-    """Pairs (x in src, y in tgt) with t <= ||y - x|| <= t + eps, both ends
-    closed, given r2 = |y - x|^2 (overwritten); an r2 of 0 (x = y) or inf
-    is outside the band."""
+def _band_count(g: Gauge, r2: np.ndarray, pair_diffs, t: float, eps: float) -> int:
+    """Pairs (x, y) with t <= ||y - x|| <= t + eps, both ends closed, given
+    r2 = |y - x|^2 (overwritten) and pair_diffs, which maps the indices of
+    entries of r2 (as np.nonzero gives them) to the vectors y - x of those
+    pairs, one per row. An r2 of 0 (x = y) or inf is outside the band."""
     hi = t + eps
     if g.kind == PARABOLOID_BODY:
-        i, j = np.nonzero((r2 >= (t * _PB_INNER) ** 2) & (r2 <= hi * hi))
-        v = gauge_values(g, tgt[j] - src[i])
+        v = gauge_values(g, pair_diffs(*np.nonzero((r2 >= (t * _PB_INNER) ** 2) & (r2 <= hi * hi))))
     else:
         v = np.sqrt(r2, out=r2)
     return int(((v >= t) & (v <= hi)).sum())
@@ -201,24 +192,42 @@ def _band_count(g: Gauge, r2: np.ndarray, src: np.ndarray, tgt: np.ndarray, t: f
 
 def _annulus_brute(pts: np.ndarray, g: Gauge, t: float, eps: float, threads: int) -> int:
     def one(r2, i0, i1):
-        return _band_count(g, r2, pts[i0:i1], pts[i0:], t, eps)
+        return _band_count(g, r2, lambda i, j: pts.take(i0 + j, axis=0) - pts.take(i0 + i, axis=0), t, eps)
 
     return 2 * sum(_map_upper_tiles(one, pts, threads))  # r^2 and the gauge are symmetric
 
 
 def _annulus_grid(pts: np.ndarray, g: Gauge, t: float, eps: float) -> int:
-    """Bucket points into cells of side h = max(eps, t/64) and test only pairs
-    whose cells can hold a distance inside the band: two cells whose index
-    gaps are g_k contain points at Euclidean distance between h*sqrt(S_min)
-    and h*sqrt(S_max), S_min = sum max(g_k - 1, 0)^2 and
-    S_max = sum (g_k + 1)^2, so everything outside [inner, outer] is pruned.
-    Both float tests are tabulated once over the integer sums, which are
-    accumulated axis by axis in blocks of about 2^20 cell pairs, so every
-    prune decision is the one a per-pair float test makes. A gap is clipped
-    at ceil(outer/h) + 2, past which the pair is too far either way (h*sqrt
-    is monotone in S), so the table has about d*68^2 entries at most:
-    outer/h <= 65 since h >= eps and h >= t/64. Membership uses the same
-    gauge evaluation as the brute method, hence the counts agree exactly."""
+    """Band count over the candidate pairs of _grid_runs. Membership uses
+    the same r^2 and the same band test as the brute method, hence the
+    counts agree exactly."""
+    by_cell, bounds, blocks = _grid_runs(pts, g, t, eps)
+    return sum(_runs_band_count(g, by_cell, bounds, *runs, t, eps) for runs in blocks)
+
+
+def _grid_runs(pts: np.ndarray, g: Gauge, t: float, eps: float):
+    """(by_cell, bounds, blocks): the points sorted by cell, cell c holding
+    by_cell[bounds[c]:bounds[c + 1]], and an iterator of blocks of target
+    runs (cell, first, stop): every point of cell[r] is a candidate against
+    the points first[r] .. stop[r] - 1 of by_cell.
+
+    Points are bucketed into cells of side h = max(eps, t/64), and only
+    pairs whose cells can hold a distance inside the band are kept: two
+    cells whose index gaps are g_k contain points at Euclidean distance
+    between h*sqrt(S_min) and h*sqrt(S_max), S_min = sum max(g_k - 1, 0)^2
+    and S_max = sum (g_k + 1)^2, so everything outside [inner, outer] is
+    pruned. Both float tests are tabulated once over the integer sums, so
+    every prune decision is the one a per-pair float test makes. A gap is
+    clipped at ceil(outer/h) + 2, past which the pair is too far either way
+    (h*sqrt is monotone in S), so the table has about d*68^2 entries at
+    most: outer/h <= 65 since h >= eps and h >= t/64.
+
+    The sorted cell keys fall into heads, runs of cells that share all but
+    the last key. For a source cell and a head, both tests are monotone in
+    the last-axis gap, so the admissible gaps form one interval [B, A],
+    tabulated over the head sums; its cells are at most two runs of the
+    head, found by binary search on the keys, and their points two runs of
+    by_cell. The (source cell, head) pairs go in blocks of 2^18."""
     d = pts.shape[1]
     h = max(eps, t / 64.0)
     inner = t * (_PB_INNER if g.kind == PARABOLOID_BODY else 1.0)
@@ -228,37 +237,104 @@ def _annulus_grid(pts: np.ndarray, g: Gauge, t: float, eps: float) -> int:
     if n_cells > _MAX_OCCUPIED_CELLS:
         raise CapacityError(f"{n_cells} occupied cells exceed the grid-method limit; use method='brute'")
     order = np.argsort(inverse, kind="stable")
-    by_cell = pts[order]
     bounds = np.searchsorted(inverse[order], np.arange(n_cells + 1))
-    sizes = np.diff(bounds)
     clip = math.ceil(outer / h) + 2
     gaps = np.arange(clip + 1)
     sq_min, sq_max = (np.maximum(gaps - 1, 0) ** 2).astype(np.int32), ((gaps + 1) ** 2).astype(np.int32)
     sums = np.sqrt(np.arange(d * (clip + 1) ** 2 + 1))
     close, far = h * sums <= outer, h * sums >= inner
-    count = 0
-    rows = max(1, _PRUNE_PAIRS // n_cells)
-    for i0 in range(0, n_cells, rows):
-        for k in range(d):
-            gap = np.subtract(keys[None, :, k], keys[i0 : i0 + rows, None, k])
-            np.minimum(np.abs(gap, out=gap), clip, out=gap)
-            if k == 0:
-                s_min, s_max = sq_min.take(gap), sq_max.take(gap)
-            else:
+    # close holds up to s_close and far from s_far on, so for head sums
+    # S_min and S_max the last-axis gaps g with close[S_min + sq_min[g]] are
+    # 0..A and those with far[S_max + sq_max[g]] are B.. on
+    s_close, s_far = np.count_nonzero(close) - 1, np.argmax(far)
+    head_sums = np.arange((d - 1) * (clip + 1) ** 2 + 1)
+    top_of = (np.searchsorted(sq_min, s_close - head_sums, side="right") - 1).astype(np.int32)
+    bot_of = np.searchsorted(sq_max, s_far - head_sums).astype(np.int32)
+    # the heads, and each cell's rank in (head, last key) order
+    starts = np.flatnonzero(np.r_[True, np.any(keys[1:, :-1] != keys[:-1, :-1], axis=1)])
+    heads, last = keys[starts, :-1], keys[:, -1]
+    head_lo, head_hi = last[starts], last[np.r_[starts[1:], n_cells] - 1]
+    values = np.unique(last)
+    rank = np.repeat(np.arange(len(starts)) * len(values), np.diff(np.r_[starts, n_cells]))
+    rank += np.searchsorted(values, last)
+
+    def head_run(cell, head, lo, hi):
+        """Points of the cells of ``head`` whose last key lies in [lo, hi]."""
+        base = head * len(values)
+        first = np.searchsorted(rank, base + np.searchsorted(values, lo))
+        stop = np.searchsorted(rank, base + np.searchsorted(values, hi, side="right"))
+        return cell, bounds[first], bounds[stop]
+
+    def blocks():
+        rows = max(1, _PRUNE_PAIRS // len(heads))
+        for c0 in range(0, n_cells, rows):
+            s_min = np.zeros((min(rows, n_cells - c0), len(heads)), np.int32)
+            s_max = s_min.copy()
+            for k in range(d - 1):
+                gap = np.subtract(heads[None, :, k], keys[c0 : c0 + rows, None, k])
+                np.minimum(np.abs(gap, out=gap), clip, out=gap)
                 s_min += sq_min.take(gap)
                 s_max += sq_max.take(gap)
-        near = close.take(s_min) & far.take(s_max)
-        for row, targets in enumerate(near, start=i0):
-            tgt_cells = np.nonzero(targets)[0]
-            if tgt_cells.size == 0:
-                continue
-            # each target cell's run of by_cell, concatenated: run start + ramp
-            lengths = sizes[tgt_cells]
-            ends = np.cumsum(lengths)
-            idx = np.repeat(bounds[tgt_cells] - ends + lengths, lengths) + np.arange(ends[-1])
-            src, tgt = by_cell[bounds[row] : bounds[row + 1]], by_cell[idx]
-            count += _band_count(g, _pair_r2(src, tgt), src, tgt, t, eps)
+            top, bot = top_of.take(s_min), bot_of.take(s_max)  # A and B
+            # keep the heads whose last keys, less the source cell's, reach
+            # into -A..-B or B..A
+            lo, hi = head_lo - last[c0 : c0 + rows, None], head_hi - last[c0 : c0 + rows, None]
+            reach = ((lo <= -bot) & (hi >= -top)) | ((hi >= bot) & (lo <= top))
+            pick = np.flatnonzero(reach & (top >= bot))
+            cell, head = pick // len(heads) + c0, pick % len(heads)
+            top, bot, mid = top.ravel().take(pick), bot.ravel().take(pick), last[cell]
+            # gaps -A..-B and B..A, merged into one run -A..A when B = 0
+            runs = [
+                head_run(cell, head, mid - top, np.where(bot == 0, mid + top, mid - bot)),
+                head_run(cell, head, mid + np.where(bot == 0, top + 1, bot), mid + top),
+            ]
+            cell, first, stop = (np.concatenate(v) for v in zip(*runs))
+            keep = stop > first
+            yield cell[keep], first[keep], stop[keep]
+
+    return pts[order], bounds, blocks()
+
+
+def _runs_band_count(g, by_cell, bounds, cell, first, stop, t, eps) -> int:
+    """Band count over the pairs of each point of cell[r] with the points
+    first[r] .. stop[r] - 1 of by_cell, cell c holding
+    by_cell[bounds[c]:bounds[c + 1]]. The runs are grouped by the point
+    count s of their source cell, and each chunk of about 2^16 pairs is one
+    s x n block of runs side by side (_runs_r2)."""
+    cols = np.ascontiguousarray(by_cell.T)
+    s_of = np.diff(bounds)[cell]
+    order = np.argsort(s_of, kind="stable")
+    s_of, src, first, lens = s_of[order], bounds[cell[order]], first[order], (stop - first)[order]
+    ends = np.cumsum(lens * s_of)
+    group_end = np.searchsorted(s_of, s_of, side="right")
+    count, a = 0, 0
+    while a < len(s_of):
+        base = ends[a - 1] if a else 0
+        b = max(a + 1, min(group_end[a], np.searchsorted(ends, base + _CHUNK_PAIRS, side="right")))
+        r2, tgt = _runs_r2(cols, s_of[a], src[a:b], first[a:b], lens[a:b])
+
+        def pair_diffs(i, j):
+            x = np.repeat(src[a:b], lens[a:b])[j] + i
+            return by_cell.take(tgt[j], axis=0) - by_cell.take(x, axis=0)
+
+        count += _band_count(g, r2, pair_diffs, t, eps)
+        a = b
     return count
+
+
+def _runs_r2(cols, s, src, first, lens):
+    """(r2, tgt) for runs r of target points first[r] .. first[r] +
+    lens[r] - 1, side by side, each against the s source points src[r] ..
+    src[r] + s - 1, all indices into cols (one row per axis): tgt[j] is the
+    target of column j and r2[i, j] = |y - x|^2 for that target y and the
+    i-th source point x of its run, filled by _fill_r2. Targets are gathered
+    once per column and sources once per run."""
+    ends = np.cumsum(lens)
+    tgt = np.repeat(first - ends + lens, lens) + np.arange(ends[-1])
+    x = np.repeat(cols.take(src + np.arange(s)[:, None], axis=1), lens, axis=2)
+    r2 = np.empty((s, len(tgt)))
+    _fill_r2(r2, np.empty_like(r2), x, cols.take(tgt, axis=1))
+    return r2, tgt
 
 
 def _even_step(axis) -> int | None:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,40 @@ class TestPairCount:
             brute = ff_pair_count(e, gamma, method="brute")
             fourier = ff_pair_count(e, gamma, method="fourier")
             assert abs(brute - fourier) < 1e-6
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_brute_equals_fourier_q2(self, d):
+        # q = 2 is the one even field: its last-axis bin 1 is the Nyquist
+        # bin, its own mirror, and counts once
+        gammas = [ff_sphere(2, d, t) for t in (0, 1)] + ([ff_paraboloid(2, d)] if d > 1 else [])
+        for cells in range(1, 2**d + 1):
+            ind = np.zeros(2**d, dtype=np.bool_)
+            ind[:cells] = True
+            e = FFSet(q=2, dim=d, indicator=ind.reshape((2,) * d))
+            for gamma in gammas:
+                assert abs(ff_pair_count(e, gamma, method="fourier") - ff_pair_count(e, gamma)) < 1e-6
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 31])
+    def test_brute_equals_fourier_one_dimension(self, q):
+        rng = np.random.default_rng(q)
+        for density in (0.2, 0.5, 1.0):
+            e = random_ffset(rng, q, 1, density)
+            for t in range(q):
+                gamma = ff_sphere(q, 1, t)
+                assert abs(ff_pair_count(e, gamma, method="fourier") - ff_pair_count(e, gamma)) < 1e-6, (q, t)
+
+    def test_fourier_peak_q809(self):
+        # two half spectra of about 809 x 405 complex values; two full
+        # complex spectra alone would take 20 MiB
+        box, par = sharpness_set(809, 0.1, 2), ff_paraboloid(809, 2)
+        tracemalloc.start()
+        try:
+            count = ff_pair_count(box, par, method="fourier")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(count - 39525) < 1e-6
+        assert peak < 25 * 2**20
 
     def test_mismatched_fields_rejected(self):
         with pytest.raises(ParameterError):

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -28,8 +29,10 @@ from incidence_lab.incidence import (
     _TILE_BYTES,
     _annulus_brute,
     _annulus_classes,
+    _annulus_grid,
+    _grid_runs,
     _map_upper_tiles,
-    _pair_r2,
+    _runs_r2,
 )
 
 
@@ -221,8 +224,9 @@ class TestGridPrune:
         assert annulus_incidences(p, Gauge(EUCLIDEAN, 2), 0.5, 0.05, method="grid").count == 1696
 
     def test_prune_peak(self):
-        # 1792 occupied cells; a float array over all 3.2M cell pairs and
-        # both axes would not fit under 40 MiB
+        # 1792 occupied cells in 28 heads: the prune holds arrays over the
+        # 50k (source cell, head) pairs, not over all 3.2M cell pairs, and
+        # the count holds one chunk of about 2^16 candidate pairs
         pset = gen_mattila2(0.48, 4)
         eps = pset.n_points ** (-1.0 / 1.48)
         tracemalloc.start()
@@ -232,7 +236,96 @@ class TestGridPrune:
         finally:
             tracemalloc.stop()
         assert count == 608216
-        assert peak < 40 * 2**20
+        assert peak < 20 * 2**20
+
+    @pytest.mark.parametrize("kind", [EUCLIDEAN, PARABOLOID_BODY])
+    @pytest.mark.parametrize(
+        "name, t, eps",
+        [
+            ("mattila2", 1.0, None),
+            ("lenz", 1.4, 0.03),
+            ("lenz", 1.0, 0.05),
+            ("lattice3", 0.5, 0.05),
+            ("columns", 0.5, 0.05),
+        ],
+    )
+    def test_candidates_equal_all_cell_pairs_prune(self, name, t, eps, kind):
+        pset = {
+            "mattila2": lambda: gen_mattila2(0.48, 4),
+            "lenz": lambda: gen_lenz(1024),
+            "lattice3": lambda: gen_lattice(12, 3),
+            "columns": two_columns,
+        }[name]()
+        if eps is None:
+            eps = pset.n_points ** (-1.0 / 1.48)
+        pts = pset.to_floats()
+        want = all_cell_pairs_candidates(pts, kind, t, eps)
+        assert grid_candidates(pts, kind, t, eps) == want
+        if name == "mattila2":
+            assert want == {EUCLIDEAN: 5873152, PARABOLOID_BODY: 17893732}[kind]
+
+    def test_equals_brute_in_one_dimension(self):
+        # a 1-D set is one head; the kernels read the gauge for its kind only
+        x = np.unique(np.random.default_rng(1).integers(-500, 501, 300)) / 250.0
+        pts, g = x[:, None], Gauge(EUCLIDEAN, 2)
+        for t, eps in [(1.0, 0.05), (0.5, 0.0), (0.01, 0.3)]:
+            brute = _annulus_brute(pts, g, t, eps, 1)
+            assert brute > 0 and _annulus_grid(pts, g, t, eps) == brute, (t, eps)
+
+    @pytest.mark.parametrize("kind", [EUCLIDEAN, PARABOLOID_BODY])
+    def test_equals_brute_across_columns(self, kind):
+        # between the columns the last-axis gaps run from 0 (B = 0, one
+        # merged run of target cells); within a column from about t/h (two runs)
+        pset, g = two_columns(), Gauge(kind, 2)
+        for t, eps in [(0.5, 0.05), (0.5, 0.0), (0.25, 0.1)]:
+            brute = annulus_incidences(pset, g, t, eps, method="brute").count
+            assert brute > 0
+            assert annulus_incidences(pset, g, t, eps, method="grid").count == brute, (t, eps)
+
+    @pytest.mark.parametrize("kind", [EUCLIDEAN, PARABOLOID_BODY])
+    def test_equals_brute_over_several_head_blocks(self, kind):
+        # one point per cell of side 1/128 on a 1/64 lattice, almost every
+        # cell its own head: several blocks of (source cell, head) pairs
+        pset = random_pointset(np.random.default_rng(78), 3, 1200)
+        keys = np.unique(np.floor(pset.to_floats() * 128), axis=0)
+        assert len(keys) * len(np.unique(keys[:, :-1], axis=0)) > 3 * _PRUNE_PAIRS
+        g = Gauge(kind, 3)
+        for t, eps in [(0.5, 0.05), (0.75, 0.0)]:
+            brute = annulus_incidences(pset, g, t, eps, method="brute").count
+            assert brute > 0
+            assert annulus_incidences(pset, g, t, eps, method="grid").count == brute, (t, eps)
+
+
+def two_columns():
+    """65 points on each of the lines x = 0 and x = 1/2, at y = k/64."""
+    rows = [(x, y) for x in (0, 32) for y in range(-32, 33)]
+    return PointSet(dim=2, denominators=(64, 64), numerators=tuple(rows))
+
+
+def all_cell_pairs_candidates(pts, kind, t, eps):
+    """Candidate pairs of a plain prune over all pairs of occupied cells of
+    side h = max(eps, t/64): a cell pair with index gaps g_k is kept when
+    h*sqrt(S_min) <= t + eps and h*sqrt(S_max) >= inner, S_min = sum
+    max(g_k - 1, 0)^2 and S_max = sum (g_k + 1)^2, and counts the product
+    of the two point counts."""
+    h = max(eps, t / 64.0)
+    inner = t * (math.sqrt(3.0) / 2.0 if kind == PARABOLOID_BODY else 1.0)
+    keys, sizes = np.unique(np.floor(pts / h).astype(np.int64), axis=0, return_counts=True)
+    total = 0
+    for a in range(0, len(keys), 256):
+        gap = np.abs(keys[None, :, :] - keys[a : a + 256, None, :])
+        s_min = (np.maximum(gap - 1, 0) ** 2).sum(axis=2)
+        s_max = ((gap + 1) ** 2).sum(axis=2)
+        near = (h * np.sqrt(s_min) <= t + eps) & (h * np.sqrt(s_max) >= inner)
+        total += int((sizes[a : a + 256, None] * sizes[None, :])[near].sum())
+    return total
+
+
+def grid_candidates(pts, kind, t, eps):
+    """Candidate pairs the grid method evaluates."""
+    _, bounds, blocks = _grid_runs(pts, Gauge(kind, pts.shape[1]), t, eps)
+    sizes = np.diff(bounds)
+    return sum(int((sizes[cell] * (stop - first)).sum()) for cell, first, stop in blocks)
 
 
 def band_oracle(pset, kind, t, eps):
@@ -270,14 +363,21 @@ class TestPairR2:
 
     @pytest.mark.parametrize("n_src", [1, TILE - 1, TILE + 1, 2048])
     def test_tiles_match_per_axis_reference(self, n_src):
+        # the grid's r^2 over target runs side by side, against the n_src
+        # points of one source cell
         rng = np.random.default_rng(n_src)
         tgt = rng.normal(size=(self.N, 4)) * [1.0, 1e-3, 1e3, 1.0]
         src = tgt[rng.integers(0, self.N, n_src)] + rng.normal(size=(n_src, 4)) * 1e-9
-        ref = np.zeros((n_src, self.N))
+        cols = np.ascontiguousarray(np.vstack([tgt, src]).T)
+        first, lens = np.array([0, 450, 500, 999]), np.array([300, 1, 499, 1])
+        r2, targets = _runs_r2(cols, n_src, np.full(len(lens), self.N), first, lens)
+        picked = np.concatenate([np.arange(f, f + n) for f, n in zip(first, lens)])
+        assert np.array_equal(targets, picked)
+        ref = np.zeros((n_src, len(picked)))
         for k in range(4):
-            diff = tgt[:, k] - src[:, k, None]
+            diff = tgt[picked, k] - src[:, k, None]
             ref += diff * diff
-        assert np.array_equal(_pair_r2(src, tgt).view(np.int64), ref.view(np.int64))
+        assert np.array_equal(r2.view(np.int64), ref.view(np.int64))
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_upper_tiles_match_per_axis_reference(self, threads):
