@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 
-from .errors import IncidenceLabError, ParameterError
+from .errors import IncidenceLabError, InputError, ParameterError
 from .energy import adaptability_sum, cube_self_energy, energy_decomposition
 from .ffield import ff_fourier, ff_pair_count, ff_paraboloid, ff_sphere, sharpness_ratio, sharpness_set
 from .gauge import Gauge, gauge_value
@@ -278,6 +278,8 @@ def _cmd_ffield(args) -> int:
     if args.spectrum:
         record["spectrum_max_nonzero"] = ff_fourier(gamma).max_nonzero_mag
     if args.pair_with:
+        if gamma.size == 0:
+            raise InputError(f"the {args.set} set is empty, so its pair count has no normalization")
         other = ff_paraboloid(args.q, args.d) if args.pair_with == "paraboloid" else ff_sphere(args.q, args.d, args.t)
         count = ff_pair_count(gamma, other, method=args.method)
         record["pair_with"] = args.pair_with

@@ -48,8 +48,18 @@ def gauge_values(g: Gauge, diffs: np.ndarray) -> np.ndarray:
     if g.kind == EUCLIDEAN:
         return np.sqrt(np.einsum("...k,...k->...", diffs, diffs))
     r2 = np.einsum("...k,...k->...", diffs[..., :-1], diffs[..., :-1])
-    a = np.abs(diffs[..., -1])
-    return 0.5 * (a + np.sqrt(a * a + 4.0 * r2))
+    return _body_gauge(np.asarray(r2), np.abs(diffs[..., -1]))[()]  # [()]: a scalar for one vector
+
+
+def _body_gauge(r2: np.ndarray, a) -> np.ndarray:
+    """The paraboloid body's gauge 0.5 * (a + sqrt(a^2 + 4 r2)) of x with
+    |x'|^2 = r2 and |x_d| = a, written over the float64 array r2."""
+    r2 *= 4.0
+    r2 += a * a
+    np.sqrt(r2, out=r2)
+    r2 += a
+    r2 *= 0.5
+    return r2
 
 
 def gauge_value(g: Gauge, x) -> float:

@@ -91,13 +91,13 @@ def _mattila_s(dim: int, param: float) -> float:
     return 1.0 + param if dim == 2 else 2.0 - 1.5 * param
 
 
-def _mattila_count(dim: int, param: float, level: int, s: float, threads: int) -> tuple[int, int]:
+def _mattila_count(dim: int, param: float, level: int, s: float) -> tuple[int, int]:
     """Point count and annulus incidences (radius 1, thickness N^(-1/s)) of
     the Mattila-type set at ``level``, counted exactly by difference
     classes."""
     pset = gen_mattila2(param, level) if dim == 2 else gen_mattila3(param, level)
     eps = pset.n_points ** (-1.0 / s)
-    rep = annulus_incidences(pset, Gauge(EUCLIDEAN, dim), 1.0, eps, method="classes", threads=threads)
+    rep = annulus_incidences(pset, Gauge(EUCLIDEAN, dim), 1.0, eps, method="classes")
     return pset.n_points, rep.count
 
 
@@ -128,14 +128,16 @@ def mattila_lattice_crossover(
 ) -> CrossoverReport:
     """Compare measured annulus incidences (radius 1, thickness N^(-1/s))
     of the Mattila-type set at ``level`` against the lattice total N * a at
-    the nearest perfect-power size."""
+    the nearest perfect-power size. ``threads`` is only checked."""
+    if threads < 1:
+        raise ParameterError("threads must be >= 1")
     if dim not in (2, 3):
         raise ParameterError(f"dim must be 2 or 3, got {dim!r}")
     name, param = ("alpha", alpha) if dim == 2 else ("delta", delta)
     if param is None:
         raise ParameterError(f"dim {dim} crossover needs {name}")
     s = _mattila_s(dim, param)
-    return _crossover_report(dim, s, *_mattila_count(dim, param, level, s, threads))
+    return _crossover_report(dim, s, *_mattila_count(dim, param, level, s))
 
 
 def _default_ladder(ladder, defaults: dict, key: str, value: int):
@@ -145,13 +147,13 @@ def _default_ladder(ladder, defaults: dict, key: str, value: int):
     return defaults[value] if ladder is None else ladder
 
 
-def _run_valtr_incidence(d, ladder, threads):
+def _run_valtr_incidence(d, ladder):
     ladder = _default_ladder(ladder, {2: [8, 16, 32, 64], 3: [4, 8, 16], 4: [3, 4, 6, 8]}, "d", d)
     pts = [(n ** (d + 1), float(exact_valtr_incidences(n, d).count)) for n in ladder]
     return pts, 2.0 - 2.0 / (d + 1), TWO_SIDED, {"d": d, "ladder_n": ladder}
 
 
-def _run_falconer_ratio(d, s, ladder, threads):
+def _run_falconer_ratio(d, s, ladder):
     # below n = 64 at d = 2 the decaying near-miss share masks the growth
     ladder = _default_ladder(ladder, {2: [64, 128, 256, 512], 3: [4, 8, 16]}, "d", d)
     # s must lie in [d/2, (d+1)/2): 1.4 for d = 2, 1.6 for d = 3
@@ -169,21 +171,18 @@ def _run_lenz_energy(s, ladder, threads):
     return pts, s - 1.0, TWO_SIDED, {"s": s, "ladder_N": ladder}
 
 
-def _run_valtr_energy(d, s, ladder, threads):
+def _run_valtr_energy(d, s, ladder):
     ladder = ladder or [4, 8, 16, 32]
-    pts = [
-        (n ** (d + 1), adaptability_sum(gen_valtr(n, d), s, threads=threads).lambda_s)
-        for n in ladder
-    ]
+    pts = [(n ** (d + 1), adaptability_sum(gen_valtr(n, d), s).lambda_s) for n in ladder]
     return pts, 0.0, TWO_SIDED, {"d": d, "s": s, "ladder_n": ladder}
 
 
-def _run_mattila_incidence(dim, param, ladder, threads):
+def _run_mattila_incidence(dim, param, ladder):
     ladder = ladder or [1, 2, 3, 4]
     s = _mattila_s(dim, param)
     pts = []
     for level in ladder:
-        n_pts, count = _mattila_count(dim, param, level, s, threads)
+        n_pts, count = _mattila_count(dim, param, level, s)
         pts.append((n_pts, float(count)))
     # the crossover is taken at the top rung, whose count is already known
     cross = _crossover_report(dim, s, n_pts, count)
@@ -203,7 +202,7 @@ def _run_mattila_incidence(dim, param, ladder, threads):
     return pts, predicted, TWO_SIDED, extra
 
 
-def _run_lattice_incidence(dim, s, ladder, threads):
+def _run_lattice_incidence(dim, s, ladder):
     ladder = _default_ladder(ladder, {2: [20, 40, 80, 160], 3: [7, 10, 13, 16]}, "dim", dim)
     # dim 3 needs s > 3/2; 1.9 = 2 - 3/2 * (1/15) is the mattila3 default
     s = (1.9 if dim == 3 else 1.48) if s is None else s
@@ -216,7 +215,7 @@ def _run_lattice_incidence(dim, s, ladder, threads):
     return pts, 2.0 - 1.0 / s, TWO_SIDED, {"dim": dim, "s": s, "ladder_k": ladder, "valid": valid}
 
 
-def _run_gauss_discrepancy(dim, ladder, threads):
+def _run_gauss_discrepancy(dim, ladder):
     ladders = {2: [64, 128, 256, 512, 1024, 2048, 4096, 8192], 3: [16, 32, 64, 128, 256, 512]}
     ladder = _default_ladder(ladder, ladders, "dim", dim)
     pts = [(R, abs(ball_count(dim, R).discrepancy)) for R in ladder]
@@ -224,7 +223,7 @@ def _run_gauss_discrepancy(dim, ladder, threads):
     return pts, predicted, UPPER_BOUND, {"dim": dim, "ladder_R": ladder}
 
 
-def _run_ff_sharpness(delta, d, ladder, threads):
+def _run_ff_sharpness(delta, d, ladder):
     ladder = ladder or [101, 211, 401, 809]
     pts = [(q, sharpness_ratio(q, delta, d)) for q in ladder]
     return pts, 2.0 * delta, TWO_SIDED, {"delta": delta, "d": d, "ladder_q": ladder}
@@ -261,24 +260,26 @@ def run_experiment(
     ladder = list(ladder) if ladder is not None else None
     if ladder is not None and len(ladder) < 3:
         raise ParameterError("ladder needs at least 3 rungs")
+    if threads < 1:
+        raise ParameterError("threads must be >= 1")
     if experiment == "valtr-incidence":
-        out = _run_valtr_incidence(d or 2, ladder, threads)
+        out = _run_valtr_incidence(d or 2, ladder)
     elif experiment == "falconer-ratio":
-        out = _run_falconer_ratio(d or 2, s, ladder, threads)
+        out = _run_falconer_ratio(d or 2, s, ladder)
     elif experiment == "lenz-energy":
         out = _run_lenz_energy(1.5 if s is None else s, ladder, threads)
     elif experiment == "valtr-energy":
-        out = _run_valtr_energy(d or 2, 1.2 if s is None else s, ladder, threads)
+        out = _run_valtr_energy(d or 2, 1.2 if s is None else s, ladder)
     elif experiment == "mattila2-incidence":
-        out = _run_mattila_incidence(2, 0.48 if alpha is None else alpha, ladder, threads)
+        out = _run_mattila_incidence(2, 0.48 if alpha is None else alpha, ladder)
     elif experiment == "mattila3-incidence":
-        out = _run_mattila_incidence(3, 1.0 / 15.0 if delta is None else delta, ladder, threads)
+        out = _run_mattila_incidence(3, 1.0 / 15.0 if delta is None else delta, ladder)
     elif experiment == "lattice-incidence":
-        out = _run_lattice_incidence(dim or 2, s, ladder, threads)
+        out = _run_lattice_incidence(dim or 2, s, ladder)
     elif experiment == "gauss-discrepancy":
-        out = _run_gauss_discrepancy(dim or 2, ladder, threads)
+        out = _run_gauss_discrepancy(dim or 2, ladder)
     elif experiment == "ff-sharpness":
-        out = _run_ff_sharpness(0.1 if delta is None else delta, d or 2, ladder, threads)
+        out = _run_ff_sharpness(0.1 if delta is None else delta, d or 2, ladder)
     else:
         raise ParameterError(f"unknown experiment {experiment!r}; known: {', '.join(EXPERIMENTS)}")
     points, predicted, comparison, extra = out
@@ -290,9 +291,7 @@ def run_experiment(
         ok = abs(slope - predicted) <= tol
     else:
         ok = slope <= predicted + tol
-    params = dict(extra)
-    params["seed"] = seed
-    params["threads"] = threads
+    params = dict(extra, seed=seed, threads=threads)
     return ScalingSeries(
         experiment=experiment,
         points=tuple((int(n), float(v)) for n, v in points),

@@ -14,8 +14,9 @@ go round robin to a thread pool when asked; each worker holds one r^2 tile
 and its difference buffer, and the count is the same for any thread count.
 The ``grid`` method finds the target cells of each source cell by binary
 search on the sorted cell keys and counts its candidate pairs in chunks of
-about 2^16, with the brute method's r^2 and band test.
-An O(N^2) brute-force Valtr oracle serves the tests.
+about 2^16, with the brute method's r^2 and band test; for the paraboloid
+body both take r^2 over the head axes and the last-axis gap. An O(N^2) brute
+Valtr oracle on the same tiles, over the integer grid indices, serves the tests.
 
 All pair counts are over ordered pairs.
 """
@@ -33,14 +34,14 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import CapacityError, InputError, ParameterError
-from .gauge import EUCLIDEAN, LOWER, PARABOLOID_BODY, RIDGE, UPPER, Gauge, gauge_values
+from .gauge import EUCLIDEAN, LOWER, PARABOLOID_BODY, RIDGE, UPPER, Gauge, _body_gauge
 from .pointsets import PointSet, gen_valtr
 
 ALL_CAPS = (UPPER, LOWER, RIDGE)
 
 # Euclidean norm of a unit-gauge vector of the paraboloid body lies in
 # [sqrt(3)/2, 1]: the caps meet the axis at distance 1 and the ridge at 1,
-# with the flattest point at |x'|^2 = 1/2. Used for conservative prefilters.
+# with the flattest point at |x'|^2 = 1/2. Used for the grid's cell prune.
 _PB_INNER = math.sqrt(3.0) / 2.0
 
 _TILE_BYTES = 1 << 19  # one r^2 tile and its difference buffer fit in L2
@@ -73,37 +74,27 @@ def _validate_caps(caps) -> tuple[str, ...]:
     return caps
 
 
-def _brute_valtr_cap_counts(n: int, d: int, chunk: int = 1024) -> tuple[int, int, int]:
+def _brute_valtr_cap_counts(n: int, d: int) -> tuple[int, int, int]:
     """O(N^2) ordered-pair enumeration; (upper, lower, ridge) counts.
 
-    Iterates the j > i triangle only: the reverse of an upper pair is a lower
-    pair and vice versa, and ridge pairs reverse to ridge pairs.
+    Decides each unordered pair once, on upper-triangle tiles of the grid
+    indices (exact in float64): the reverse of an upper pair is a lower pair
+    and vice versa, and ridge pairs reverse to ridge pairs.
     """
     N = n ** (d + 1)
     if N > 60_000:
         raise CapacityError(f"brute enumeration over {N}^2 ordered pairs refused")
-    dtype = np.int16 if n <= 90 else np.int32
-    cols = [g.ravel() for g in np.meshgrid(*(np.asarray(ax, dtype) for ax in gen_valtr(n, d).axes), indexing="ij")]
-    n2 = dtype(n * n)
-    # rows i0..i1 against columns i0..N: the j > i triangle condition only
-    # depends on the local offsets, so one precomputed mask serves all chunks
-    tri_full = np.arange(N)[None, :] > np.arange(min(chunk, N))[:, None]
-    tri_up = tri_lo = tri_ri = 0
-    for i0 in range(0, N, chunk):
-        i1 = min(i0 + chunk, N)
-        tri = tri_full[: i1 - i0, : N - i0]
-        s = None
-        for c in cols[:-1]:
-            dh = c[None, i0:] - c[i0:i1, None]
-            dh *= dh
-            s = dh if s is None else s + dh
-        dd = cols[-1][None, i0:] - cols[-1][i0:i1, None]
-        on = (s + np.abs(dd) == n2) & tri
-        tri_up += int((on & (dd > 0)).sum())
-        tri_lo += int((on & (dd < 0)).sum())
-        tri_ri += int((on & (dd == 0)).sum())
-    ordered_cap = tri_up + tri_lo
-    return ordered_cap, ordered_cap, 2 * tri_ri
+    grid = np.meshgrid(*(np.asarray(ax, np.float64) for ax in gen_valtr(n, d).axes), indexing="ij")
+    idx = np.stack([c.ravel() for c in grid], axis=1)
+
+    def caps(s, i0, i1):
+        dd = idx[i0:, -1] - idx[i0:i1, -1, None]
+        s += np.abs(dd)  # on the surface: S + |D_d| = n^2; inf for j <= i
+        dd = dd[s == n * n]
+        return int((dd > 0).sum()), int((dd < 0).sum()), int((dd == 0).sum())
+
+    up, lo, ridge = map(sum, zip(*_map_upper_tiles(caps, idx[:, :-1], 1)))
+    return up + lo, up + lo, 2 * ridge
 
 
 def exact_valtr_incidences(n: int, d: int, caps=ALL_CAPS, method: str = "exact_integer") -> IncidenceReport:
@@ -116,8 +107,7 @@ def exact_valtr_incidences(n: int, d: int, caps=ALL_CAPS, method: str = "exact_i
         ridge, off_ridge = _annulus_classes(P.axes, P.denominators, PARABOLOID_BODY, 1, 0)
         by_cap = {UPPER: off_ridge // 2, LOWER: off_ridge // 2, RIDGE: ridge}
     elif method == "brute":
-        upper, lower, ridge = _brute_valtr_cap_counts(n, d)
-        by_cap = {UPPER: upper, LOWER: lower, RIDGE: ridge}
+        by_cap = dict(zip(ALL_CAPS, _brute_valtr_cap_counts(n, d)))
     else:
         raise ParameterError(f"unknown method {method!r}")
     count = sum(by_cap[c] for c in caps)
@@ -177,24 +167,23 @@ def _map_upper_tiles(fn, pts: np.ndarray, threads: int) -> list:
     return work(0)
 
 
-def _band_count(g: Gauge, r2: np.ndarray, pair_diffs, t: float, eps: float) -> int:
+def _band_count(g: Gauge, r2: np.ndarray, a, t: float, eps: float) -> int:
     """Pairs (x, y) with t <= ||y - x|| <= t + eps, both ends closed, given
-    r2 = |y - x|^2 (overwritten) and pair_diffs, which maps the indices of
-    entries of r2 (as np.nonzero gives them) to the vectors y - x of those
-    pairs, one per row. An r2 of 0 (x = y) or inf is outside the band."""
-    hi = t + eps
-    if g.kind == PARABOLOID_BODY:
-        v = gauge_values(g, pair_diffs(*np.nonzero((r2 >= (t * _PB_INNER) ** 2) & (r2 <= hi * hi))))
-    else:
-        v = np.sqrt(r2, out=r2)
-    return int(((v >= t) & (v <= hi)).sum())
+    r2 = |y - x|^2 summed over the axes the gauge squares (all of them for
+    the Euclidean gauge, all but the last for the paraboloid body; r2 is
+    overwritten) and a = |y_d - x_d| for the paraboloid body, else None. An
+    r2 of inf, or x = y, is outside the band."""
+    v = _body_gauge(r2, a) if g.kind == PARABOLOID_BODY else np.sqrt(r2, out=r2)
+    return int(((v >= t) & (v <= t + eps)).sum())
 
 
 def _annulus_brute(pts: np.ndarray, g: Gauge, t: float, eps: float, threads: int) -> int:
-    def one(r2, i0, i1):
-        return _band_count(g, r2, lambda i, j: pts.take(i0 + j, axis=0) - pts.take(i0 + i, axis=0), t, eps)
+    body, last = g.kind == PARABOLOID_BODY, pts[:, -1]
 
-    return 2 * sum(_map_upper_tiles(one, pts, threads))  # r^2 and the gauge are symmetric
+    def one(r2, i0, i1):
+        return _band_count(g, r2, np.abs(last[i0:] - last[i0:i1, None]) if body else None, t, eps)
+
+    return 2 * sum(_map_upper_tiles(one, pts[:, :-1] if body else pts, threads))  # r^2 and a are symmetric
 
 
 def _annulus_grid(pts: np.ndarray, g: Gauge, t: float, eps: float) -> int:
@@ -301,40 +290,38 @@ def _runs_band_count(g, by_cell, bounds, cell, first, stop, t, eps) -> int:
     by_cell[bounds[c]:bounds[c + 1]]. The runs are grouped by the point
     count s of their source cell, and each chunk of about 2^16 pairs is one
     s x n block of runs side by side (_runs_r2)."""
-    cols = np.ascontiguousarray(by_cell.T)
+    cols, body = np.ascontiguousarray(by_cell.T), g.kind == PARABOLOID_BODY
     s_of = np.diff(bounds)[cell]
     order = np.argsort(s_of, kind="stable")
     s_of, src, first, lens = s_of[order], bounds[cell[order]], first[order], (stop - first)[order]
     ends = np.cumsum(lens * s_of)
     group_end = np.searchsorted(s_of, s_of, side="right")
-    count, a = 0, 0
-    while a < len(s_of):
-        base = ends[a - 1] if a else 0
-        b = max(a + 1, min(group_end[a], np.searchsorted(ends, base + _CHUNK_PAIRS, side="right")))
-        r2, tgt = _runs_r2(cols, s_of[a], src[a:b], first[a:b], lens[a:b])
-
-        def pair_diffs(i, j):
-            x = np.repeat(src[a:b], lens[a:b])[j] + i
-            return by_cell.take(tgt[j], axis=0) - by_cell.take(x, axis=0)
-
-        count += _band_count(g, r2, pair_diffs, t, eps)
-        a = b
+    count, i = 0, 0
+    while i < len(s_of):
+        base = ends[i - 1] if i else 0
+        j = max(i + 1, min(group_end[i], np.searchsorted(ends, base + _CHUNK_PAIRS, side="right")))
+        # r2 and a stay bound while the next chunk is built: freeing them first was twice as slow
+        r2, a = _runs_r2(cols, s_of[i], src[i:j], first[i:j], lens[i:j], body)
+        count += _band_count(g, r2, a, t, eps)
+        i = j
     return count
 
 
-def _runs_r2(cols, s, src, first, lens):
-    """(r2, tgt) for runs r of target points first[r] .. first[r] +
-    lens[r] - 1, side by side, each against the s source points src[r] ..
-    src[r] + s - 1, all indices into cols (one row per axis): tgt[j] is the
-    target of column j and r2[i, j] = |y - x|^2 for that target y and the
-    i-th source point x of its run, filled by _fill_r2. Targets are gathered
-    once per column and sources once per run."""
+def _runs_r2(cols, s, src, first, lens, body):
+    """(r2, a) for runs r of target points first[r] .. first[r] + lens[r] -
+    1, side by side, each against the s source points src[r] .. src[r] + s -
+    1, all indices into cols (one row per axis): r2[i, j] = |y - x|^2 for the
+    target y of column j and the i-th source point x of its run, filled by
+    _fill_r2, and a = None; with ``body`` (the paraboloid body) r2 over all
+    axes but the last and a[i, j] = |y_d - x_d|. Targets are gathered once
+    per column and sources once per run."""
     ends = np.cumsum(lens)
     tgt = np.repeat(first - ends + lens, lens) + np.arange(ends[-1])
     x = np.repeat(cols.take(src + np.arange(s)[:, None], axis=1), lens, axis=2)
-    r2 = np.empty((s, len(tgt)))
-    _fill_r2(r2, np.empty_like(r2), x, cols.take(tgt, axis=1))
-    return r2, tgt
+    y = cols.take(tgt, axis=1)
+    r2, buf = np.empty((s, len(tgt))), np.empty((s, len(tgt)))
+    _fill_r2(r2, buf, x[: len(x) - body], y[: len(y) - body])
+    return r2, np.abs(np.subtract(y[-1], x[-1], out=buf), out=buf) if body else None
 
 
 def _even_step(axis) -> int | None:

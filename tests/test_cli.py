@@ -141,6 +141,14 @@ class TestFField:
         assert obj["pair_count"] == 1617
         assert obj["sharpness_ratio"] == pytest.approx(1.9827, abs=1e-4)
 
+    def test_empty_set_pairing_exit1(self, capsys):
+        # no x in F_5 has x^2 = 2
+        code, out, err = run(capsys, "ffield", "--q", "5", "--d", "1", "--set", "sphere",
+                             "--t", "2", "--pair-with", "sphere")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "empty" in err
+
 
 class TestScan:
     def test_pass_verdict_exit0(self, capsys):

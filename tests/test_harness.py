@@ -51,6 +51,11 @@ class TestRunExperiment:
         with pytest.raises(ParameterError):
             run_experiment("valtr-incidence", d=2, ladder=[4, 8])
 
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_zero_threads_rejected(self, experiment):
+        with pytest.raises(ParameterError, match="threads"):
+            run_experiment(experiment, threads=0)
+
     def test_deterministic(self):
         a = run_experiment("lenz-energy", s=1.5, ladder=[64, 128, 256])
         b = run_experiment("lenz-energy", s=1.5, ladder=[64, 128, 256])
@@ -216,6 +221,10 @@ class TestCrossover:
     def test_missing_parameter(self):
         with pytest.raises(ParameterError):
             mattila_lattice_crossover(2, 2)
+
+    def test_zero_threads_rejected(self):
+        with pytest.raises(ParameterError, match="threads"):
+            mattila_lattice_crossover(2, 2, alpha=0.48, threads=0)
 
     def test_scan_crossover_matches_public_report(self):
         # the scan reuses its top rung's count instead of recounting it

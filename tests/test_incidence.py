@@ -17,6 +17,7 @@ from incidence_lab import (
     annulus_incidences,
     exact_valtr_incidences,
     falconer_measure_ratio,
+    gauge_values,
     gen_lattice,
     gen_lenz,
     gen_mattila2,
@@ -30,6 +31,7 @@ from incidence_lab.incidence import (
     _annulus_brute,
     _annulus_classes,
     _annulus_grid,
+    _brute_valtr_cap_counts,
     _grid_runs,
     _map_upper_tiles,
     _runs_r2,
@@ -91,6 +93,18 @@ class TestExactValtr:
         with pytest.raises(ParameterError):
             exact_valtr_incidences(2, 2, caps=("top",))
 
+    def test_brute_peak_holds_tiles(self):
+        # 7776 points: the oracle holds the index columns and one upper
+        # tile at a time, not 1024-row chunks of all columns (76 MiB)
+        tracemalloc.start()
+        try:
+            upper, lower, ridge = _brute_valtr_cap_counts(6, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert upper + lower + ridge == exact_valtr_incidences(6, 4).count
+        assert peak < 8 * 2**20
+
 
 class TestAnnulus:
     def test_radius_beyond_diameter(self):
@@ -109,6 +123,18 @@ class TestAnnulus:
         rep = annulus_incidences(p, Gauge(EUCLIDEAN, 2), 1.0, 0.25)
         assert rep.count == 72
         assert rep.count >= 64
+
+    def test_body_band_reads_gauge_values(self):
+        # brute and grid decide the band on the float gauge of gauge_values,
+        # with no Euclidean prefilter: the 400 ridge pairs of (5, 3), gaps
+        # (3/5, 4/5, 0) in some order, have gauge 1.0 in float, and 200 of
+        # them have a float |y - x|^2 just above 1
+        pts = gen_valtr(5, 3).to_floats()
+        g = Gauge(PARABOLOID_BODY, 3)
+        want = int((gauge_values(g, pts[None, :, :] - pts[:, None, :]) == 1.0).sum())
+        assert want == 8560
+        for method in ("brute", "grid"):
+            assert annulus_incidences(gen_valtr(5, 3), g, 1.0, 0.0, method=method).count == want
 
     def test_grid_equals_brute_randomized(self):
         rng = np.random.default_rng(2024)
@@ -238,6 +264,14 @@ class TestGridPrune:
         assert count == 608216
         assert peak < 20 * 2**20
 
+    def test_mattila2_paraboloid_pin(self):
+        # the grid and brute float decisions agree with the exact count here
+        pset = gen_mattila2(0.48, 4)
+        eps = pset.n_points ** (-1.0 / 1.48)
+        g = Gauge(PARABOLOID_BODY, 2)
+        counts = {m: annulus_incidences(pset, g, 1.0, eps, method=m).count for m in ("grid", "brute", "classes")}
+        assert counts == {"grid": 225864, "brute": 225864, "classes": 225864}
+
     @pytest.mark.parametrize("kind", [EUCLIDEAN, PARABOLOID_BODY])
     @pytest.mark.parametrize(
         "name, t, eps",
@@ -364,20 +398,26 @@ class TestPairR2:
     @pytest.mark.parametrize("n_src", [1, TILE - 1, TILE + 1, 2048])
     def test_tiles_match_per_axis_reference(self, n_src):
         # the grid's r^2 over target runs side by side, against the n_src
-        # points of one source cell
+        # points of one source cell; for the paraboloid body r^2 over the
+        # head axes and the last-axis gaps a
         rng = np.random.default_rng(n_src)
         tgt = rng.normal(size=(self.N, 4)) * [1.0, 1e-3, 1e3, 1.0]
         src = tgt[rng.integers(0, self.N, n_src)] + rng.normal(size=(n_src, 4)) * 1e-9
         cols = np.ascontiguousarray(np.vstack([tgt, src]).T)
         first, lens = np.array([0, 450, 500, 999]), np.array([300, 1, 499, 1])
-        r2, targets = _runs_r2(cols, n_src, np.full(len(lens), self.N), first, lens)
         picked = np.concatenate([np.arange(f, f + n) for f, n in zip(first, lens)])
-        assert np.array_equal(targets, picked)
-        ref = np.zeros((n_src, len(picked)))
-        for k in range(4):
-            diff = tgt[picked, k] - src[:, k, None]
-            ref += diff * diff
-        assert np.array_equal(r2.view(np.int64), ref.view(np.int64))
+        for body in (False, True):
+            r2, a = _runs_r2(cols, n_src, np.full(len(lens), self.N), first, lens, body)
+            ref = np.zeros((n_src, len(picked)))
+            for k in range(3 if body else 4):
+                diff = tgt[picked, k] - src[:, k, None]
+                ref += diff * diff
+            assert np.array_equal(r2.view(np.int64), ref.view(np.int64))
+            if body:
+                gap = np.abs(tgt[picked, 3] - src[:, 3, None])
+                assert np.array_equal(a.view(np.int64), gap.view(np.int64))
+            else:
+                assert a is None
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_upper_tiles_match_per_axis_reference(self, threads):
