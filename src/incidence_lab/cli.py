@@ -5,6 +5,14 @@ Usage: incidence-lab <gen|gauge|incidence|energy|gauss|ffield|scan> [flags]
 Every subcommand accepts --seed, --threads, --format and --out. Output is
 deterministic for a fixed seed and thread configuration. Exit codes: 0 on
 success, 2 when a scan verdict fails, 1 on any error.
+
+Layer loading: the layers are referred to as modules of the package, which
+registers them unrun, so a subcommand runs only the layers it calls. gen
+loads pointsets and never NumPy; gauge loads gauge; gauss loads
+latticecount; incidence loads incidence with pointsets and gauge; energy
+and ffield add their own layer to those three; scan loads harness, which
+loads every layer. The scan choices come from the package's EXPERIMENTS
+registry, so --help and argument errors run no layer.
 """
 
 from __future__ import annotations
@@ -15,23 +23,8 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 
+from . import EXPERIMENTS, energy, ffield, gauge, harness, incidence, latticecount, pointsets
 from .errors import IncidenceLabError, InputError, ParameterError
-from .energy import adaptability_sum, cube_self_energy, energy_decomposition
-from .ffield import ff_fourier, ff_pair_count, ff_paraboloid, ff_sphere, sharpness_ratio, sharpness_set
-from .gauge import Gauge, gauge_value
-from .harness import EXPERIMENTS, emit, run_experiment
-from .incidence import annulus_incidences, exact_valtr_incidences, falconer_measure_ratio
-from .latticecount import ball_count, lattice_incidence_total, shell_count
-from .pointsets import (
-    CantorParams,
-    PointSet,
-    gen_cantor_centers,
-    gen_lattice,
-    gen_lenz,
-    gen_mattila2,
-    gen_mattila3,
-    gen_valtr,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,25 +58,25 @@ def _emit_record(record: dict, args, csv_header: list[str] | None = None) -> Non
     raise ParameterError(f"unsupported format {args.format!r} for this subcommand")
 
 
-def _build_pointset(args) -> PointSet:
+def _build_pointset(args) -> pointsets.PointSet:
     gen = args.generator
     if gen is None:
         raise ParameterError("--generator is required")
     if gen == "valtr":
         _require(args, "n", "d")
-        return gen_valtr(args.n, args.d)
+        return pointsets.gen_valtr(args.n, args.d)
     if gen == "lenz":
         _require(args, "N")
-        return gen_lenz(args.N)
+        return pointsets.gen_lenz(args.N)
     if gen == "lattice":
         _require(args, "k", "d")
-        return gen_lattice(args.k, args.d)
+        return pointsets.gen_lattice(args.k, args.d)
     if gen == "mattila2":
         _require(args, "alpha", "levels")
-        return gen_mattila2(args.alpha, args.levels)
+        return pointsets.gen_mattila2(args.alpha, args.levels)
     if gen == "mattila3":
         _require(args, "delta", "levels")
-        return gen_mattila3(args.delta, args.levels)
+        return pointsets.gen_mattila3(args.delta, args.levels)
     raise ParameterError(f"unknown generator {gen!r}")
 
 
@@ -105,8 +98,8 @@ def _params_string(args) -> str:
 def _cmd_gen(args) -> int:
     if args.generator == "cantor":
         _require(args, "alpha", "levels")
-        params = CantorParams(args.alpha, args.levels)
-        centers = gen_cantor_centers(params)
+        params = pointsets.CantorParams(args.alpha, args.levels)
+        centers = pointsets.gen_cantor_centers(params)
         if args.format == "json":
             obj = {
                 "label": "cantor",
@@ -140,8 +133,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_gauge(args) -> int:
     point = [float(tok) for tok in args.point.split(",")]
-    g = Gauge(args.kind, len(point))
-    value = gauge_value(g, point)
+    g = gauge.Gauge(args.kind, len(point))
+    value = gauge.gauge_value(g, point)
     _emit_record({"kind": args.kind, "dim": len(point), "value": value}, args)
     return 0
 
@@ -151,22 +144,24 @@ def _cmd_incidence(args) -> int:
         if args.n is None or args.d is None:
             raise ParameterError("valtr-exact mode needs --n and --d")
         caps = tuple(args.caps.split(",")) if args.caps else ("upper", "lower", "ridge")
-        rep = exact_valtr_incidences(args.n, args.d, caps=caps, method=args.method or "exact_integer")
+        rep = incidence.exact_valtr_incidences(args.n, args.d, caps=caps, method=args.method or "exact_integer")
         record = asdict(rep)
         record["caps"] = "|".join(rep.caps)
     elif args.mode == "annulus":
         if args.generator is None:
             raise ParameterError("annulus mode needs --generator")
         pset = _build_pointset(args)
-        g = Gauge(args.norm, pset.dim)
-        rep = annulus_incidences(pset, g, args.t, args.eps, method=args.method or "brute", threads=args.threads)
+        g = gauge.Gauge(args.norm, pset.dim)
+        rep = incidence.annulus_incidences(
+            pset, g, args.t, args.eps, method=args.method or "brute", threads=args.threads
+        )
         record = asdict(rep)
         record["caps"] = "|".join(rep.caps)
         record["generator"] = _params_string(args)
     elif args.mode == "falconer":
         if args.n is None or args.d is None or args.s is None:
             raise ParameterError("falconer mode needs --n, --d and --s")
-        rec = falconer_measure_ratio(args.n, args.d, args.s)
+        rec = incidence.falconer_measure_ratio(args.n, args.d, args.s)
         record = asdict(rec)
     else:
         raise ParameterError(f"unknown mode {args.mode!r}")
@@ -178,12 +173,12 @@ def _cmd_energy(args) -> int:
     if args.decompose:
         if args.n is None or args.d is None:
             raise ParameterError("--decompose needs --n and --d")
-        rep = energy_decomposition(args.n, args.d, args.s, samples=args.samples, seed=args.seed)
+        rep = energy.energy_decomposition(args.n, args.d, args.s, samples=args.samples, seed=args.seed)
         gen_name, params = "valtr", _params_string(args)
     elif args.cube_constant:
         if args.d is None:
             raise ParameterError("--cube-constant needs --d")
-        est = cube_self_energy(args.d, args.s, samples=args.samples, seed=args.seed)
+        est = energy.cube_self_energy(args.d, args.s, samples=args.samples, seed=args.seed)
         record = {
             "generator": "cube",
             "params": f"d={args.d}",
@@ -197,7 +192,7 @@ def _cmd_energy(args) -> int:
         return 0
     else:
         pset = _build_pointset(args)
-        rep = adaptability_sum(pset, args.s, threads=args.threads)
+        rep = energy.adaptability_sum(pset, args.s, threads=args.threads)
         gen_name, params = pset.label, _params_string(args)
     record = {
         "generator": gen_name,
@@ -235,14 +230,14 @@ def _cmd_gauss(args) -> int:
     if args.N is not None:
         if args.s is None:
             raise ParameterError("--N needs --s for the incidence total")
-        rec = lattice_incidence_total(args.dim, args.N, args.s)
+        rec = latticecount.lattice_incidence_total(args.dim, args.N, args.s)
         _emit_record(asdict(rec), args)
         return 0
     if args.R is None:
         raise ParameterError("gauss needs --R or --N")
     radii = _parse_radius_range(args.R)
     if args.w is not None:
-        rows = [(args.dim, r, args.w, shell_count(args.dim, r, args.w)) for r in radii]
+        rows = [(args.dim, r, args.w, latticecount.shell_count(args.dim, r, args.w)) for r in radii]
         header = "dim,R,w,count"
         lines = [header] + [",".join(str(x) for x in row) for row in rows]
         if args.format == "json":
@@ -251,7 +246,7 @@ def _cmd_gauss(args) -> int:
         else:
             _write("\n".join(lines) + "\n", args)
         return 0
-    reports = [ball_count(args.dim, r) for r in radii]
+    reports = [latticecount.ball_count(args.dim, r) for r in radii]
     if args.format == "json":
         _write(json.dumps([asdict(rep) for rep in reports], indent=2) + "\n", args)
     else:
@@ -265,35 +260,38 @@ def _cmd_gauss(args) -> int:
 def _cmd_ffield(args) -> int:
     record: dict = {"q": args.q, "d": args.d, "set": args.set}
     if args.set == "sphere":
-        gamma = ff_sphere(args.q, args.d, args.t)
+        gamma = ffield.ff_sphere(args.q, args.d, args.t)
         record["t"] = args.t
     elif args.set == "paraboloid":
-        gamma = ff_paraboloid(args.q, args.d)
+        gamma = ffield.ff_paraboloid(args.q, args.d)
     elif args.set == "sharpness":
-        gamma = sharpness_set(args.q, args.delta, args.d)
+        gamma = ffield.sharpness_set(args.q, args.delta, args.d)
         record["delta"] = args.delta
     else:
         raise ParameterError(f"unknown set {args.set!r}")
     record["size"] = gamma.size
     if args.spectrum:
-        record["spectrum_max_nonzero"] = ff_fourier(gamma).max_nonzero_mag
+        record["spectrum_max_nonzero"] = ffield.ff_fourier(gamma).max_nonzero_mag
     if args.pair_with:
         if gamma.size == 0:
             raise InputError(f"the {args.set} set is empty, so its pair count has no normalization")
-        other = ff_paraboloid(args.q, args.d) if args.pair_with == "paraboloid" else ff_sphere(args.q, args.d, args.t)
-        count = ff_pair_count(gamma, other, method=args.method)
+        if args.pair_with == "paraboloid":
+            other = ffield.ff_paraboloid(args.q, args.d)
+        else:
+            other = ffield.ff_sphere(args.q, args.d, args.t)
+        count = ffield.ff_pair_count(gamma, other, method=args.method)
         record["pair_with"] = args.pair_with
         record["pair_count"] = count
         record["pair_count_normalized"] = count * args.q / gamma.size**2
         if args.set == "sharpness" and args.pair_with == "paraboloid" and args.method == "brute":
-            record["sharpness_ratio"] = sharpness_ratio(args.q, args.delta, args.d)
+            record["sharpness_ratio"] = ffield.sharpness_ratio(args.q, args.delta, args.d)
     _emit_record(record, args)
     return 0
 
 
 def _cmd_scan(args) -> int:
     ladder = [int(tok) for tok in args.ladder.split(",")] if args.ladder else None
-    series = run_experiment(
+    series = harness.run_experiment(
         args.experiment,
         d=args.d,
         s=args.s,
@@ -305,7 +303,7 @@ def _cmd_scan(args) -> int:
         seed=args.seed,
         threads=args.threads,
     )
-    _write(emit(series, args.format), args)
+    _write(harness.emit(series, args.format), args)
     return 0 if series.verdict == "pass" else 2
 
 
@@ -329,7 +327,8 @@ def _add_generator_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="incidence-lab", description=__doc__)
+    # the help text is the docstring without its note on layer loading
+    parser = _Parser(prog="incidence-lab", description=__doc__.partition("\n\nLayer loading:")[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("gen", parents=[], help="emit a point configuration")

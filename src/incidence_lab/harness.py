@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import EXPERIMENTS
 from .errors import InputError, ParameterError
 from .ffield import sharpness_ratio
 from .gauge import EUCLIDEAN, Gauge
@@ -124,13 +125,10 @@ def mattila_lattice_crossover(
     level: int,
     alpha: float | None = None,
     delta: float | None = None,
-    threads: int = 1,
 ) -> CrossoverReport:
     """Compare measured annulus incidences (radius 1, thickness N^(-1/s))
     of the Mattila-type set at ``level`` against the lattice total N * a at
-    the nearest perfect-power size. ``threads`` is only checked."""
-    if threads < 1:
-        raise ParameterError("threads must be >= 1")
+    the nearest perfect-power size."""
     if dim not in (2, 3):
         raise ParameterError(f"dim must be 2 or 3, got {dim!r}")
     name, param = ("alpha", alpha) if dim == 2 else ("delta", delta)
@@ -227,19 +225,6 @@ def _run_ff_sharpness(delta, d, ladder):
     ladder = ladder or [101, 211, 401, 809]
     pts = [(q, sharpness_ratio(q, delta, d)) for q in ladder]
     return pts, 2.0 * delta, TWO_SIDED, {"delta": delta, "d": d, "ladder_q": ladder}
-
-
-EXPERIMENTS = (
-    "valtr-incidence",
-    "falconer-ratio",
-    "lenz-energy",
-    "valtr-energy",
-    "mattila2-incidence",
-    "mattila3-incidence",
-    "lattice-incidence",
-    "gauss-discrepancy",
-    "ff-sharpness",
-)
 
 
 def run_experiment(

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -162,6 +161,8 @@ def _map_upper_tiles(fn, pts: np.ndarray, threads: int) -> list:
         return out
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return [v for part in pool.map(work, range(threads)) for v in part]
     return work(0)

@@ -14,8 +14,6 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import CapacityError, InputError, ParameterError
 
 # Refuse to build rows or float columns of more than this many points; paths
@@ -119,6 +117,8 @@ class PointSet:
     def to_floats(self) -> np.ndarray:
         """Coordinates as an (n_points, dim) float64 array; a product set
         converts each axis once and expands the product."""
+        import numpy as np
+
         self._check_rows()
         if self.axes is not None:
             cols = np.meshgrid(*map(_column_floats, self.axes, self.denominators), indexing="ij")
@@ -132,6 +132,8 @@ class PointSet:
 
 def _column_floats(nums, den: int) -> np.ndarray:
     """Correctly rounded float64 values of nums[i] / den."""
+    import numpy as np
+
     if den < 2**53 and all(abs(v) < 2**53 for v in nums):
         return np.asarray(nums, dtype=np.float64) / den
     return np.asarray([float(Fraction(v, den)) for v in nums], dtype=np.float64)

@@ -237,8 +237,8 @@ def test_criterion_7_finite_field_sharpness():
 
 def test_criterion_8_mattila_vs_lattice_crossover():
     t0 = time.time()
-    two_d = mattila_lattice_crossover(2, 4, alpha=0.48, threads=2)
-    three_d = mattila_lattice_crossover(3, 4, delta=1 / 15, threads=2)
+    two_d = mattila_lattice_crossover(2, 4, alpha=0.48)
+    three_d = mattila_lattice_crossover(3, 4, delta=1 / 15)
     elapsed = time.time() - t0
     ok = (
         two_d.inside_validity_window

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from incidence_lab import adaptability_sum, annulus_incidences, gen_lenz, gen_mattila2
-from incidence_lab import Gauge, EUCLIDEAN
+from incidence_lab import EUCLIDEAN, EXPERIMENTS, Gauge
 from incidence_lab.cli import main
 
 
@@ -167,6 +167,17 @@ class TestScan:
         code, out, _ = run(capsys, "scan", "--experiment", "valtr-incidence", "--d", "2",
                            "--ladder", "4,8,16", "--format", "gnuplot")
         assert out.startswith("# experiment: valtr-incidence")
+
+    def test_help_lists_every_experiment(self, capsys):
+        code, out, _ = run(capsys, "scan", "--help")
+        assert code == 0
+        for name in EXPERIMENTS:
+            assert name in out
+
+    def test_unknown_experiment_exit1(self, capsys):
+        code, _, err = run(capsys, "scan", "--experiment", "nope")
+        assert code == 1
+        assert "argument --experiment: invalid choice: 'nope'" in err
 
 
 class TestErrorsAndDeterminism:

@@ -222,10 +222,6 @@ class TestCrossover:
         with pytest.raises(ParameterError):
             mattila_lattice_crossover(2, 2)
 
-    def test_zero_threads_rejected(self):
-        with pytest.raises(ParameterError, match="threads"):
-            mattila_lattice_crossover(2, 2, alpha=0.48, threads=0)
-
     def test_scan_crossover_matches_public_report(self):
         # the scan reuses its top rung's count instead of recounting it
         for experiment, dim, kwargs in (
