@@ -10,9 +10,9 @@ Layer loading: the layers are referred to as modules of the package, which
 registers them unrun, so a subcommand runs only the layers it calls. gen
 loads pointsets and never NumPy; gauge loads gauge; gauss loads
 latticecount; incidence loads incidence with pointsets and gauge; energy
-and ffield add their own layer to those three; scan loads harness, which
-loads every layer. The scan choices come from the package's EXPERIMENTS
-registry, so --help and argument errors run no layer.
+and ffield add their own layer to those three; scan loads harness and the
+layers its experiment calls. The scan choices come from the package's
+EXPERIMENTS registry, so --help and argument errors run no layer.
 """
 
 from __future__ import annotations

@@ -13,14 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import EXPERIMENTS
+from . import EXPERIMENTS, energy, ffield, gauge, incidence, latticecount, pointsets
 from .errors import InputError, ParameterError
-from .ffield import sharpness_ratio
-from .gauge import EUCLIDEAN, Gauge
-from .incidence import annulus_incidences, exact_valtr_incidences, falconer_measure_ratio
-from .energy import adaptability_sum
-from .latticecount import ball_count, lattice_incidence_total
-from .pointsets import gen_lenz, gen_mattila2, gen_mattila3, gen_valtr
 
 DEFAULT_TOLERANCE = 0.12
 
@@ -96,16 +90,16 @@ def _mattila_count(dim: int, param: float, level: int, s: float) -> tuple[int, i
     """Point count and annulus incidences (radius 1, thickness N^(-1/s)) of
     the Mattila-type set at ``level``, counted exactly by difference
     classes."""
-    pset = gen_mattila2(param, level) if dim == 2 else gen_mattila3(param, level)
+    pset = pointsets.gen_mattila2(param, level) if dim == 2 else pointsets.gen_mattila3(param, level)
     eps = pset.n_points ** (-1.0 / s)
-    rep = annulus_incidences(pset, Gauge(EUCLIDEAN, dim), 1.0, eps, method="classes")
+    rep = incidence.annulus_incidences(pset, gauge.Gauge(gauge.EUCLIDEAN, dim), 1.0, eps, method="classes")
     return pset.n_points, rep.count
 
 
 def _crossover_report(dim: int, s: float, n_pts: int, count: int) -> CrossoverReport:
     k = round(n_pts ** (1.0 / dim))
     lattice_n = k**dim
-    lat = lattice_incidence_total(dim, lattice_n, s)
+    lat = latticecount.lattice_incidence_total(dim, lattice_n, s)
     predicted = s < 1.5 if dim == 2 else s < 2.0
     return CrossoverReport(
         dim=dim,
@@ -147,7 +141,7 @@ def _default_ladder(ladder, defaults: dict, key: str, value: int):
 
 def _run_valtr_incidence(d, ladder):
     ladder = _default_ladder(ladder, {2: [8, 16, 32, 64], 3: [4, 8, 16], 4: [3, 4, 6, 8]}, "d", d)
-    pts = [(n ** (d + 1), float(exact_valtr_incidences(n, d).count)) for n in ladder]
+    pts = [(n ** (d + 1), float(incidence.exact_valtr_incidences(n, d).count)) for n in ladder]
     return pts, 2.0 - 2.0 / (d + 1), TWO_SIDED, {"d": d, "ladder_n": ladder}
 
 
@@ -158,20 +152,20 @@ def _run_falconer_ratio(d, s, ladder):
     s = (1.6 if d == 3 else 1.4) if s is None else s
     pts = []
     for n in ladder:
-        rec = falconer_measure_ratio(n, d, s)
+        rec = incidence.falconer_measure_ratio(n, d, s)
         pts.append((rec.n_points, rec.ratio))
     return pts, 1.0 / s - 2.0 / (d + 1), TWO_SIDED, {"d": d, "s": s, "ladder_n": ladder}
 
 
 def _run_lenz_energy(s, ladder, threads):
     ladder = ladder or [64, 128, 256, 512, 1024, 2048]
-    pts = [(N, adaptability_sum(gen_lenz(N), s, threads=threads).lambda_s) for N in ladder]
+    pts = [(N, energy.adaptability_sum(pointsets.gen_lenz(N), s, threads=threads).lambda_s) for N in ladder]
     return pts, s - 1.0, TWO_SIDED, {"s": s, "ladder_N": ladder}
 
 
 def _run_valtr_energy(d, s, ladder):
     ladder = ladder or [4, 8, 16, 32]
-    pts = [(n ** (d + 1), adaptability_sum(gen_valtr(n, d), s).lambda_s) for n in ladder]
+    pts = [(n ** (d + 1), energy.adaptability_sum(pointsets.gen_valtr(n, d), s).lambda_s) for n in ladder]
     return pts, 0.0, TWO_SIDED, {"d": d, "s": s, "ladder_n": ladder}
 
 
@@ -207,7 +201,7 @@ def _run_lattice_incidence(dim, s, ladder):
     pts = []
     valid = None
     for k in ladder:
-        rec = lattice_incidence_total(dim, k**dim, s)
+        rec = latticecount.lattice_incidence_total(dim, k**dim, s)
         valid = rec.valid
         pts.append((rec.n_points, float(rec.incidences)))
     return pts, 2.0 - 1.0 / s, TWO_SIDED, {"dim": dim, "s": s, "ladder_k": ladder, "valid": valid}
@@ -216,14 +210,14 @@ def _run_lattice_incidence(dim, s, ladder):
 def _run_gauss_discrepancy(dim, ladder):
     ladders = {2: [64, 128, 256, 512, 1024, 2048, 4096, 8192], 3: [16, 32, 64, 128, 256, 512]}
     ladder = _default_ladder(ladder, ladders, "dim", dim)
-    pts = [(R, abs(ball_count(dim, R).discrepancy)) for R in ladder]
+    pts = [(R, abs(latticecount.ball_count(dim, R).discrepancy)) for R in ladder]
     predicted = 131.0 / 208.0 if dim == 2 else 21.0 / 16.0
     return pts, predicted, UPPER_BOUND, {"dim": dim, "ladder_R": ladder}
 
 
 def _run_ff_sharpness(delta, d, ladder):
     ladder = ladder or [101, 211, 401, 809]
-    pts = [(q, sharpness_ratio(q, delta, d)) for q in ladder]
+    pts = [(q, ffield.sharpness_ratio(q, delta, d)) for q in ladder]
     return pts, 2.0 * delta, TWO_SIDED, {"delta": delta, "d": d, "ladder_q": ladder}
 
 

@@ -12,10 +12,11 @@ never build its points. The ``brute`` annulus method decides each
 unordered pair once, in tiles of the upper triangle of about 512 KiB that
 go round robin to a thread pool when asked; each worker holds one r^2 tile
 and its difference buffer, and the count is the same for any thread count.
-The ``grid`` method finds the target cells of each source cell by binary
-search on the sorted cell keys and counts its candidate pairs in chunks of
-about 2^16, with the brute method's r^2 and band test; for the paraboloid
-body both take r^2 over the head axes and the last-axis gap. An O(N^2) brute
+The ``grid`` method finds the later target cells of each source cell by
+binary search on the sorted cell keys, so it too decides each unordered
+pair once, and counts its candidate pairs in chunks of about 2^16, with the
+brute method's r^2 and band test; for the paraboloid body both take r^2
+over the head axes and the last-axis gap. An O(N^2) brute
 Valtr oracle on the same tiles, over the integer grid indices, serves the tests.
 
 All pair counts are over ordered pairs.
@@ -188,18 +189,23 @@ def _annulus_brute(pts: np.ndarray, g: Gauge, t: float, eps: float, threads: int
 
 
 def _annulus_grid(pts: np.ndarray, g: Gauge, t: float, eps: float) -> int:
-    """Band count over the candidate pairs of _grid_runs. Membership uses
-    the same r^2 and the same band test as the brute method, hence the
-    counts agree exactly."""
-    by_cell, bounds, blocks = _grid_runs(pts, g, t, eps)
-    return sum(_runs_band_count(g, by_cell, bounds, *runs, t, eps) for runs in blocks)
+    """Band count over the candidate pairs of _grid_runs: the ordered pairs
+    inside each cell once, and the pairs of each cell with the later cells
+    twice, as r^2 and a are the same float64 both ways round (see
+    _map_upper_tiles). Membership uses the same r^2 and the same band test
+    as the brute method, hence the counts agree exactly."""
+    by_cell, bounds, same, later = _grid_runs(pts, g, t, eps)
+    count = _runs_band_count(g, by_cell, bounds, *same, t, eps)
+    return count + 2 * sum(_runs_band_count(g, by_cell, bounds, *runs, t, eps) for runs in later)
 
 
 def _grid_runs(pts: np.ndarray, g: Gauge, t: float, eps: float):
-    """(by_cell, bounds, blocks): the points sorted by cell, cell c holding
-    by_cell[bounds[c]:bounds[c + 1]], and an iterator of blocks of target
-    runs (cell, first, stop): every point of cell[r] is a candidate against
-    the points first[r] .. stop[r] - 1 of by_cell.
+    """(by_cell, bounds, same, later): the points sorted by cell, cell c
+    holding by_cell[bounds[c]:bounds[c + 1]]; the runs (cell, first, stop)
+    of each cell against itself, where every point of cell[r] is a
+    candidate against the points first[r] .. stop[r] - 1 of by_cell; and an
+    iterator of blocks of such runs against the later cells only, so that
+    each unordered pair of distinct cells is decided once.
 
     Points are bucketed into cells of side h = max(eps, t/64), and only
     pairs whose cells can hold a distance inside the band are kept: two
@@ -213,21 +219,28 @@ def _grid_runs(pts: np.ndarray, g: Gauge, t: float, eps: float):
     most: outer/h <= 65 since h >= eps and h >= t/64.
 
     The sorted cell keys fall into heads, runs of cells that share all but
-    the last key. For a source cell and a head, both tests are monotone in
-    the last-axis gap, so the admissible gaps form one interval [B, A],
-    tabulated over the head sums; its cells are at most two runs of the
-    head, found by binary search on the keys, and their points two runs of
-    by_cell. The (source cell, head) pairs go in blocks of 2^18."""
+    the last key, and cell order is head order, then last-key order. For a
+    source cell and a head, both tests are monotone in the last-axis gap, so
+    the admissible gaps form one interval [B, A], tabulated over the head
+    sums; its cells are at most two runs of the head, found by binary
+    search on the keys, and their points two runs of by_cell. In the source
+    cell's own head the head sums are 0 and d - 1 for every cell: the cell
+    itself is a candidate when B = 0 (h*sqrt(d) reaches the band), and the
+    later cells are the gaps max(B, 1) .. A. The later heads are pruned in
+    blocks of about 2^18 (source cell, head) pairs."""
     d = pts.shape[1]
     h = max(eps, t / 64.0)
     inner = t * (_PB_INNER if g.kind == PARABOLOID_BODY else 1.0)
     outer = t + eps
-    keys, inverse = np.unique(np.floor(pts / h).astype(np.int64), axis=0, return_inverse=True)
+    # the points in lexicographic key order, each cell's points in input order
+    keys = np.floor(pts / h).astype(np.int64)
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    bounds = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1), True])
+    keys = keys[bounds[:-1]]
     n_cells = len(keys)
     if n_cells > _MAX_OCCUPIED_CELLS:
         raise CapacityError(f"{n_cells} occupied cells exceed the grid-method limit; use method='brute'")
-    order = np.argsort(inverse, kind="stable")
-    bounds = np.searchsorted(inverse[order], np.arange(n_cells + 1))
     clip = math.ceil(outer / h) + 2
     gaps = np.arange(clip + 1)
     sq_min, sq_max = (np.maximum(gaps - 1, 0) ** 2).astype(np.int32), ((gaps + 1) ** 2).astype(np.int32)
@@ -240,13 +253,13 @@ def _grid_runs(pts: np.ndarray, g: Gauge, t: float, eps: float):
     head_sums = np.arange((d - 1) * (clip + 1) ** 2 + 1)
     top_of = (np.searchsorted(sq_min, s_close - head_sums, side="right") - 1).astype(np.int32)
     bot_of = np.searchsorted(sq_max, s_far - head_sums).astype(np.int32)
-    # the heads, and each cell's rank in (head, last key) order
+    # the heads, each cell's head, and each cell's rank in (head, last key) order
     starts = np.flatnonzero(np.r_[True, np.any(keys[1:, :-1] != keys[:-1, :-1], axis=1)])
-    heads, last = keys[starts, :-1], keys[:, -1]
+    n_heads, heads, last = len(starts), keys[starts, :-1], keys[:, -1]
     head_lo, head_hi = last[starts], last[np.r_[starts[1:], n_cells] - 1]
+    head_of = np.repeat(np.arange(n_heads), np.diff(np.r_[starts, n_cells]))
     values = np.unique(last)
-    rank = np.repeat(np.arange(len(starts)) * len(values), np.diff(np.r_[starts, n_cells]))
-    rank += np.searchsorted(values, last)
+    rank = head_of * len(values) + np.searchsorted(values, last)
 
     def head_run(cell, head, lo, hi):
         """Points of the cells of ``head`` whose last key lies in [lo, hi]."""
@@ -255,23 +268,33 @@ def _grid_runs(pts: np.ndarray, g: Gauge, t: float, eps: float):
         stop = np.searchsorted(rank, base + np.searchsorted(values, hi, side="right"))
         return cell, bounds[first], bounds[stop]
 
-    def blocks():
-        rows = max(1, _PRUNE_PAIRS // len(heads))
-        for c0 in range(0, n_cells, rows):
-            s_min = np.zeros((min(rows, n_cells - c0), len(heads)), np.int32)
+    cells = np.arange(n_cells)
+    own_top, own_bot = top_of[0], bot_of[d - 1]  # A and B of a cell against its own head
+    same = cells if own_bot == 0 else cells[:0]
+
+    def later():
+        cell, first, stop = head_run(cells, head_of, last + max(own_bot, 1), last + own_top)
+        keep = stop > first
+        yield cell[keep], first[keep], stop[keep]
+        c0 = 0
+        while c0 < n_cells and head_of[c0] + 1 < n_heads:
+            h0 = head_of[c0] + 1  # the heads after the block's first cell
+            c1 = min(n_cells, c0 + max(1, _PRUNE_PAIRS // (n_heads - h0)))
+            s_min = np.zeros((c1 - c0, n_heads - h0), np.int32)
             s_max = s_min.copy()
             for k in range(d - 1):
-                gap = np.subtract(heads[None, :, k], keys[c0 : c0 + rows, None, k])
+                gap = np.subtract(heads[None, h0:, k], keys[c0:c1, None, k])
                 np.minimum(np.abs(gap, out=gap), clip, out=gap)
                 s_min += sq_min.take(gap)
                 s_max += sq_max.take(gap)
             top, bot = top_of.take(s_min), bot_of.take(s_max)  # A and B
-            # keep the heads whose last keys, less the source cell's, reach
-            # into -A..-B or B..A
-            lo, hi = head_lo - last[c0 : c0 + rows, None], head_hi - last[c0 : c0 + rows, None]
+            # keep the heads after the source cell's whose last keys, less
+            # the source cell's, reach into -A..-B or B..A
+            lo, hi = head_lo[h0:] - last[c0:c1, None], head_hi[h0:] - last[c0:c1, None]
             reach = ((lo <= -bot) & (hi >= -top)) | ((hi >= bot) & (lo <= top))
-            pick = np.flatnonzero(reach & (top >= bot))
-            cell, head = pick // len(heads) + c0, pick % len(heads)
+            after = np.arange(h0, n_heads) > head_of[c0:c1, None]
+            pick = np.flatnonzero(reach & (top >= bot) & after)
+            cell, head = pick // (n_heads - h0) + c0, pick % (n_heads - h0) + h0
             top, bot, mid = top.ravel().take(pick), bot.ravel().take(pick), last[cell]
             # gaps -A..-B and B..A, merged into one run -A..A when B = 0
             runs = [
@@ -281,8 +304,9 @@ def _grid_runs(pts: np.ndarray, g: Gauge, t: float, eps: float):
             cell, first, stop = (np.concatenate(v) for v in zip(*runs))
             keep = stop > first
             yield cell[keep], first[keep], stop[keep]
+            c0 = c1
 
-    return pts[order], bounds, blocks()
+    return pts[order], bounds, (same, bounds[same], bounds[same + 1]), later()
 
 
 def _runs_band_count(g, by_cell, bounds, cell, first, stop, t, eps) -> int:

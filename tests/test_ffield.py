@@ -16,7 +16,7 @@ from incidence_lab import (
     sharpness_ratio,
     sharpness_set,
 )
-from incidence_lab.ffield import _sharpness_pair_count, _sharpness_sides, ff_inverse_at
+from incidence_lab.ffield import _sharpness_pair_count, _sharpness_sides, _spectrum, ff_inverse_at
 
 SMALL_FIELDS = [(q, d) for q in (3, 5, 7, 11, 13) for d in (2, 3)]
 
@@ -25,6 +25,34 @@ def random_ffset(rng, q, d, density):
     ind = rng.random((q,) * d) < density
     ind.flat[0] = True  # keep nonempty
     return FFSet(q=q, dim=d, indicator=ind)
+
+
+def full_spectrum_pair_count(E, gamma):
+    """The Fourier pair count over the full half spectra of np.fft.rfftn, with
+    |E_hat|^2 as the real part of the complex product E_hat * conj(E_hat)."""
+    q, d = E.q, E.dim
+    e_hat = np.fft.rfftn(E.indicator) / q**d
+    g_hat = np.fft.rfftn(gamma.indicator) / q**d
+    weights = (e_hat * e_hat.conj()).real
+    weights[..., 1 : (q + 1) // 2] *= 2
+    weights.flat[0] = 0.0
+    return float(E.size**2 * gamma.size / q**d + q ** (2 * d) * (weights * g_hat.real).sum())
+
+
+def spectrum_sets(q, d):
+    """The sharpness box, the sphere, the paraboloid and sparse random sets
+    of F_q^d, where each is defined."""
+    rng = np.random.default_rng(q * 10 + d)
+    sets = {"sphere": ff_sphere(q, d, 1)}
+    if d > 1:
+        sets["paraboloid"] = ff_paraboloid(q, d)
+        if (d - 1) * q ** 0.8 < q:
+            sets["sharpness"] = sharpness_set(q, 0.1, d)
+    for points in (0, 1, 3, 2 * q):
+        ind = np.zeros(q**d, dtype=np.bool_)
+        ind[rng.integers(0, q**d, size=points)] = True
+        sets[f"random{points}"] = FFSet(q=q, dim=d, indicator=ind.reshape((q,) * d))
+    return sets
 
 
 class TestVarieties:
@@ -125,6 +153,38 @@ class TestFourier:
         assert np.abs(ff_fourier(s).values - ref).max() <= 1e-16
 
 
+class TestSpectrum:
+    """_spectrum skips the lines that hold no point and must still be
+    NumPy's transform, value for value."""
+
+    # d = 4 has three leading axes, whose order NumPy fixes
+    @pytest.mark.parametrize("q, d", [(q, d) for q in (2, 11, 101, 809) for d in (1, 2, 3, 4) if q**d <= 101**3])
+    def test_equals_numpy(self, q, d):
+        for name, s in spectrum_sets(q, d).items():
+            assert np.array_equal(_spectrum(s.indicator, real=True), np.fft.rfftn(s.indicator)), name
+            assert np.array_equal(_spectrum(s.indicator, real=False), np.fft.fftn(s.indicator)), name
+
+    def test_fully_occupied_lines_transform_in_place_of_a_copy(self):
+        # every line of the paraboloid holds a point: NumPy transforms the
+        # indicator itself, so the peak is the transform, not a zeroed copy
+        par = ff_paraboloid(809, 2)
+        tracemalloc.start()
+        try:
+            spec = _spectrum(par.indicator, real=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * spec.nbytes
+
+    @pytest.mark.parametrize("q, d", [(2, 1), (2, 2), (11, 1), (11, 2), (11, 3), (101, 2), (809, 2)])
+    def test_pair_count_equals_full_spectrum(self, q, d):
+        sets = spectrum_sets(q, d)
+        gamma = sets.get("paraboloid", sets["sphere"])
+        for name, e in sets.items():
+            assert ff_pair_count(e, gamma, method="fourier") == full_spectrum_pair_count(e, gamma), name
+            assert ff_pair_count(gamma, e, method="fourier") == full_spectrum_pair_count(gamma, e), name
+
+
 class TestPairCount:
     def test_full_space_against_paraboloid(self):
         for q, d in [(3, 2), (5, 2), (3, 3)]:
@@ -150,6 +210,7 @@ class TestPairCount:
             brute = ff_pair_count(e, gamma, method="brute")
             fourier = ff_pair_count(e, gamma, method="fourier")
             assert abs(brute - fourier) < 1e-6
+            assert fourier == full_spectrum_pair_count(e, gamma)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_brute_equals_fourier_q2(self, d):
@@ -161,7 +222,9 @@ class TestPairCount:
             ind[:cells] = True
             e = FFSet(q=2, dim=d, indicator=ind.reshape((2,) * d))
             for gamma in gammas:
-                assert abs(ff_pair_count(e, gamma, method="fourier") - ff_pair_count(e, gamma)) < 1e-6
+                fourier = ff_pair_count(e, gamma, method="fourier")
+                assert abs(fourier - ff_pair_count(e, gamma)) < 1e-6
+                assert fourier == full_spectrum_pair_count(e, gamma)
 
     @pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 31])
     def test_brute_equals_fourier_one_dimension(self, q):
@@ -170,7 +233,9 @@ class TestPairCount:
             e = random_ffset(rng, q, 1, density)
             for t in range(q):
                 gamma = ff_sphere(q, 1, t)
-                assert abs(ff_pair_count(e, gamma, method="fourier") - ff_pair_count(e, gamma)) < 1e-6, (q, t)
+                fourier = ff_pair_count(e, gamma, method="fourier")
+                assert abs(fourier - ff_pair_count(e, gamma)) < 1e-6, (q, t)
+                assert fourier == full_spectrum_pair_count(e, gamma), (q, t)
 
     def test_fourier_peak_q809(self):
         # two half spectra of about 809 x 405 complex values; two full
@@ -183,6 +248,7 @@ class TestPairCount:
         finally:
             tracemalloc.stop()
         assert abs(count - 39525) < 1e-6
+        assert count == full_spectrum_pair_count(box, par)
         assert peak < 25 * 2**20
 
     def test_mismatched_fields_rejected(self):

@@ -281,6 +281,7 @@ class TestGridPrune:
             ("lenz", 1.0, 0.05),
             ("lattice3", 0.5, 0.05),
             ("columns", 0.5, 0.05),
+            ("columns", 0.01, 0.3),  # cells of side 0.3 hold candidate pairs inside them
         ],
     )
     def test_candidates_equal_all_cell_pairs_prune(self, name, t, eps, kind):
@@ -356,10 +357,19 @@ def all_cell_pairs_candidates(pts, kind, t, eps):
 
 
 def grid_candidates(pts, kind, t, eps):
-    """Candidate pairs the grid method evaluates."""
-    _, bounds, blocks = _grid_runs(pts, Gauge(kind, pts.shape[1]), t, eps)
+    """Ordered candidate pairs the grid method stands for: twice the pairs
+    it evaluates against later cells, plus the ordered pairs inside each
+    cell. Checks that every run of the first kind lies after its source
+    cell, and every run of the second kind is the source cell itself."""
+    _, bounds, same, later = _grid_runs(pts, Gauge(kind, pts.shape[1]), t, eps)
     sizes = np.diff(bounds)
-    return sum(int((sizes[cell] * (stop - first)).sum()) for cell, first, stop in blocks)
+    cell, first, stop = same
+    assert np.array_equal(first, bounds[cell]) and np.array_equal(stop, bounds[cell + 1])
+    cross = 0
+    for cell, first, stop in later:
+        assert (first >= bounds[cell + 1]).all() and (stop > first).all()
+        cross += int((sizes[cell] * (stop - first)).sum())
+    return 2 * cross + int((sizes[same[0]] ** 2).sum())
 
 
 def band_oracle(pset, kind, t, eps):

@@ -33,14 +33,19 @@ LAYERS = ("pointsets", "gauge", "incidence", "energy", "latticecount", "ffield",
 
 def loaded_after(code: str) -> dict:
     """Run ``code`` in a fresh interpreter, then report whether NumPy and
-    each layer module are in sys.modules, and what ``code`` printed."""
+    each layer module are in sys.modules, which layers have run (a lazy
+    module stays a _LazyModule until its first attribute read), and what
+    ``code`` printed."""
     probe = (
         "import contextlib, io, json, sys\n"
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"
         + "".join(f"    {line}\n" for line in code.splitlines())
-        + "print(json.dumps({'numpy': 'numpy' in sys.modules, 'out': out.getvalue(),\n"
-        f"                  'layers': [m for m in {LAYERS!r} if 'incidence_lab.' + m in sys.modules]}}))\n"
+        + "mods = {m: sys.modules.get('incidence_lab.' + m) for m in " + repr(LAYERS) + "}\n"
+        "print(json.dumps({'numpy': 'numpy' in sys.modules, 'out': out.getvalue(),\n"
+        "                  'layers': [m for m, mod in mods.items() if mod is not None],\n"
+        "                  'ran': [m for m, mod in mods.items() if mod is not None\n"
+        "                          and type(mod).__name__ != '_LazyModule']}))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
@@ -85,6 +90,17 @@ class TestLazyLoading:
                            "assert cli.main(['scan', '--help']) == 0")
         assert rec["numpy"] is False
         assert "--experiment" in rec["out"]
+
+    def test_scan_runs_only_its_experiments_layers(self):
+        # falconer-ratio counts by classes on the Valtr axes: no ffield, energy or latticecount
+        rec = loaded_after("from incidence_lab import cli\n"
+                           "assert cli.main(['scan', '--experiment', 'falconer-ratio', '--d', '2',\n"
+                           "                 '--s', '1.4', '--ladder', '4,8,16', '--seed', '1']) == 0")
+        assert rec["ran"] == ["pointsets", "gauge", "incidence", "harness"]
+        rec = loaded_after("from incidence_lab import cli\n"
+                           "assert cli.main(['scan', '--experiment', 'gauss-discrepancy', '--dim', '2',\n"
+                           "                 '--ladder', '64,128,256']) == 0")
+        assert rec["ran"] == ["latticecount", "harness"]
 
     def test_first_attribute_read_runs_the_layer(self):
         rec = loaded_after("import incidence_lab\n"
