@@ -2,11 +2,12 @@
 cube measure.
 
 Distances are Euclidean throughout; the paraboloid gauge only enters the
-incidence counters. A set built from ``axes`` is summed over its difference
-classes, any other set over the upper triangle of its pairs in tiles of about
-512 KiB, each worker holding one r^2 tile and its difference buffer; float64
-tile totals are added exactly and doubled, so results are bit-identical for
-any thread count.
+incidence counters. A set built from ``axes`` is summed over the head table of
+the band kernel (the pairs of its head axes grouped by exact squared length,
+under one limit on the work that builds it) against its last axis's gaps; any
+other set over the upper triangle of its pairs in tiles of about 512 KiB, each
+worker holding one r^2 tile and its difference buffer; float64 tile totals are
+added exactly and doubled, so results are bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DivergenceError, InputError, ParameterError
-from .incidence import _MAX_PRODUCT_CLASSES, _axis_gaps, _even_step, _map_upper_tiles
+from .incidence import _axis_gaps, _head_classes, _map_upper_tiles
 from .pointsets import PointSet, _column_floats, gen_valtr
 
 _CLASS_BLOCK = 1 << 20  # difference classes per NumPy block
@@ -45,29 +46,27 @@ class MonteCarloEstimate:
 
 
 def _grouped_pair_sum(axes, denominators, s: float) -> float:
-    """sum_{p != q} |p - q|^-s over the product of these axes, one term per class of
-    per-axis |gaps| (``incidence._axis_gaps``), each gap rounded to float once so no
-    difference cancels; head classes meet the last axis in blocks of <= _CLASS_BLOCK.
-    Refused before any block is built past the head and energy class limits."""
-    uneven = {j: _axis_gaps(ax) for j, ax in enumerate(axes) if _even_step(ax) is None}
-    sizes = [len(uneven[j]) if j in uneven else len(ax) for j, ax in enumerate(axes)]
-    if math.prod(sizes[:-1]) > _MAX_PRODUCT_CLASSES or math.prod(sizes) > _MAX_ENERGY_CLASSES:
-        raise CapacityError(f"{sizes} difference classes per axis exceed the energy limits")
-    gaps = [uneven[j] if j in uneven else _axis_gaps(ax) for j, ax in enumerate(axes)]
-    sq = [_column_floats(list(g), den) ** 2 for g, den in zip(gaps, denominators)]
-    mult = [np.fromiter(g.values(), np.int64, len(g)) for g in gaps]
-    head_r2, head_mult = np.zeros(1), np.ones(1, dtype=np.int64)
-    for a, m in zip(sq[:-1], mult[:-1]):
-        head_r2, head_mult = np.add.outer(head_r2, a).ravel(), np.multiply.outer(head_mult, m).ravel()
-    rows, cols = max(1, _CLASS_BLOCK // len(sq[-1])), min(len(sq[-1]), _CLASS_BLOCK)
+    """sum_{p != q} |p - q|^-s over the product of these axes, one term per head
+    class R (``incidence._head_classes``) and last-axis |gap| G: r^2 is R / Q,
+    correctly rounded, plus the square of G rounded to float once, so no difference
+    cancels. Blocks of <= _CLASS_BLOCK terms, refused past the energy limit first."""
+    *head, last = axes
+    Q, heads = _head_classes(head, denominators[:-1])
+    # k values have at least k gaps, so k alone may refuse before they are listed
+    gaps = _axis_gaps(last) if len(heads) * len(last) <= _MAX_ENERGY_CLASSES else range(len(last))
+    if len(heads) * len(gaps) > _MAX_ENERGY_CLASSES:
+        raise CapacityError(f"{len(heads)} x {len(gaps)} difference classes exceed the energy limit")
+    head_r2, sq = _column_floats(list(heads), Q), _column_floats(list(gaps), denominators[-1]) ** 2
+    head_mult, mult = (np.fromiter(g.values(), np.int64, len(g)) for g in (heads, gaps))
+    rows, cols = max(1, _CLASS_BLOCK // len(sq)), min(len(sq), _CLASS_BLOCK)
     partials = []
     for h0 in range(0, len(head_r2), rows):
-        for l0 in range(0, len(sq[-1]), cols):
-            block = np.add.outer(head_r2[h0 : h0 + rows], sq[-1][l0 : l0 + cols])
+        for l0 in range(0, len(sq), cols):
+            block = np.add.outer(head_r2[h0 : h0 + rows], sq[l0 : l0 + cols])
             if h0 == l0 == 0:
-                block[0, 0] = np.inf  # _axis_gaps lists gap 0 first: the p = q class
+                block[0, 0] = np.inf  # R = 0 and G = 0 come first: the p = q class
             np.power(block, -s / 2.0, out=block)
-            block *= np.multiply.outer(head_mult[h0 : h0 + rows], mult[-1][l0 : l0 + cols])
+            block *= np.multiply.outer(head_mult[h0 : h0 + rows], mult[l0 : l0 + cols])
             partials.append(float(block.sum()))
     return math.fsum(partials)
 

@@ -146,10 +146,12 @@ def _run_valtr_incidence(d, ladder):
 
 
 def _run_falconer_ratio(d, s, ladder):
-    # below n = 64 at d = 2 the decaying near-miss share masks the growth
-    ladder = _default_ladder(ladder, {2: [64, 128, 256, 512], 3: [4, 8, 16]}, "d", d)
-    # s must lie in [d/2, (d+1)/2): 1.4 for d = 2, 1.6 for d = 3
-    s = (1.6 if d == 3 else 1.4) if s is None else s
+    # below n = 64 at d = 2 the decaying near-miss share masks the growth;
+    # at d = 4, 5, 6 the ladders start above n = 13, 23, 41
+    ladders = {2: [64, 128, 256, 512], 3: [4, 8, 16], 4: [16, 32, 64, 128], 5: [24, 32, 48, 64], 6: [42, 48, 56, 64]}
+    ladder = _default_ladder(ladder, ladders, "d", d)
+    # s must lie in [d/2, (d+1)/2)
+    s = {2: 1.4, 3: 1.6, 4: 2.2, 5: 2.7, 6: 3.2}.get(d, 1.4) if s is None else s
     pts = []
     for n in ladder:
         rec = incidence.falconer_measure_ratio(n, d, s)

@@ -394,16 +394,30 @@ def _gap_counter(axis):
 def _head_classes(axes, denominators) -> tuple[int, dict[int, int]]:
     """The ordered pairs of the product of ``axes`` grouped by squared
     length: (Q, {R: pairs}), Q = lcm(den_j^2), where R / Q = |x|^2 for the
-    difference x of each pair. Refuses more than the class limit before
-    the table is built."""
+    difference x of each pair; R = 0, the pairs p = q, is the first key.
+    The one head table of the band kernel, the class energy and the
+    sharpness count.
+
+    The table is built axis by axis, each step adding every scaled square
+    gap of one axis to every key so far. Before anything is built, the work
+    of each step, (a bound on the keys so far) x (the gaps of that axis), is
+    checked against the class limit. The keys are multiples of the gcd g of
+    the scaled squares, between 0 and the sum M of their maxima, so there
+    are at most min(product of the gap counts, 1 + M // g) of them: on the
+    Valtr grid with n values per head axis, about (d - 1) n^2 against a
+    product of (2n - 1)^(d - 1)."""
     gaps = [_axis_gaps(ax) for ax in axes]
-    classes = math.prod(map(len, gaps))
-    if classes > _MAX_PRODUCT_CLASSES:
-        raise CapacityError(f"{classes} head difference classes exceed the exact-path limit")
     Q = math.lcm(*(d * d for d in denominators))
+    scales = [Q // (d * d) for d in denominators]
+    keys, top, unit = 1, 0, 0
+    for axis_gaps, scale in zip(gaps, scales):
+        if keys * len(axis_gaps) > _MAX_PRODUCT_CLASSES:
+            raise CapacityError(f"{keys} x {len(axis_gaps)} head difference classes exceed the exact-path limit")
+        top += scale * max(axis_gaps) ** 2
+        unit = math.gcd(unit, scale * math.gcd(*axis_gaps) ** 2)
+        keys = min(keys * len(axis_gaps), 1 + top // max(unit, 1))
     r2 = {0: 1}
-    for axis_gaps, d in zip(gaps, denominators):
-        scale = Q // (d * d)
+    for axis_gaps, scale in zip(gaps, scales):
         squares = [(scale * gap * gap, mg) for gap, mg in axis_gaps.items()]
         nxt = defaultdict(int)
         for r, m in r2.items():
@@ -527,11 +541,18 @@ def falconer_measure_ratio(n: int, d: int, s: float) -> FalconerRatio:
 
     ``count`` is the exact incidences (gauge exactly 1, equal to
     ``exact_valtr_incidences(n, d).count``) plus the near-miss pairs with
-    gauge in (1, 1+eps]. For d = 2 and s = 1.4 the near-miss part is empty
-    once n >= 128: a difference (D/n, a/n^2) with S = D^2 and gauge 1+delta,
-    delta > 0, satisfies delta(2n^2 - a) + n^2 delta^2 = S + a - n^2 >= 1;
-    S <= (n-1)^2 gives a >= 2n and hence delta > 1/(2n^2), while
-    eps = n^(-15/7) <= 1/(2n^2) exactly when n >= 128.
+    gauge in (1, 1+eps]. A difference (D/n, a/n^2), D in Z^(d-1), S = |D|^2,
+    0 <= a <= n^2 - 1, has gauge 1 + delta with S + (1+delta) a =
+    (1+delta)^2 n^2, that is delta(2n^2 - a) + n^2 delta^2 = S + a - n^2.
+    For delta > 0 the left side is positive, as a < 2n^2, so the integer
+    S + a - n^2 is at least 1.
+    - For every d: the left side is at most 2n^2 delta + n^2 delta^2, so
+      (1 + delta)^2 >= 1 + n^-2 and delta >= sqrt(1 + n^-2) - 1. Once eps
+      lies below that bound, the near-miss part is empty: for s = (d+1)/2
+      - 0.3 that is n >= 13, 23 and 41 at d = 4, 5 and 6.
+    - For d = 2 and s = 1.4 it is empty once n >= 128: S <= (n-1)^2 gives
+      a >= 2n and hence delta > 1/(2n^2), while eps = n^(-15/7) <=
+      1/(2n^2) exactly when n >= 128.
     """
     P = gen_valtr(n, d)
     if not (d / 2 <= s < (d + 1) / 2):

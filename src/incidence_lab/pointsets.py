@@ -131,12 +131,13 @@ class PointSet:
 
 
 def _column_floats(nums, den: int) -> np.ndarray:
-    """Correctly rounded float64 values of nums[i] / den."""
+    """Correctly rounded float64 values of nums[i] / den (Python's int / int
+    rounds correctly; so does NumPy's division of exact floats)."""
     import numpy as np
 
     if den < 2**53 and all(abs(v) < 2**53 for v in nums):
         return np.asarray(nums, dtype=np.float64) / den
-    return np.asarray([float(Fraction(v, den)) for v in nums], dtype=np.float64)
+    return np.asarray([v / den for v in nums], dtype=np.float64)
 
 
 def _check_size(count: int, what: str) -> None:

@@ -68,12 +68,17 @@ class TestAdaptabilitySum:
             (gen_lattice(4, 3), 1.1),
             (gen_mattila3(0.4, 1), 1.3),
             (gen_mattila2(0.5, 0), 1.3),
+            (gen_valtr(2, 4), 2.2),
+            (gen_valtr(2, 5), 2.7),
         ]
         for pset, s in cases:
             grouped = adaptability_sum(pset, s).lambda_s
             assert grouped == _grouped_pair_sum(pset.axes, pset.denominators, s) / pset.n_points**2
             brute = adaptability_sum(strip_axes(pset), s).lambda_s
             assert grouped == pytest.approx(brute, rel=1e-12)
+        # bit for bit the value of the per-axis head build that the shared
+        # head table replaced
+        assert adaptability_sum(gen_valtr(24, 5), 2.7).lambda_s == 3.142535551499591
 
     def test_grouped_path_needs_evenly_spaced_axes(self):
         # the class path needs the axes, not an even spacing of them: a set

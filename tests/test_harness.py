@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from incidence_lab import (
@@ -5,8 +7,12 @@ from incidence_lab import (
     InputError,
     ParameterError,
     ScalingSeries,
+    adaptability_sum,
     emit,
+    exact_valtr_incidences,
+    falconer_measure_ratio,
     fit_exponent,
+    gen_valtr,
     mattila_lattice_crossover,
     parse_series,
     run_experiment,
@@ -150,7 +156,8 @@ class TestRunExperiment:
         }
 
 
-# every registered scan at each dimension that has a default ladder
+# every registered scan at each dimension that has a default ladder;
+# falconer-ratio at d = 4, 5, 6 runs in test_falconer_ratio_grows_at_d4_to_d6
 DEFAULT_SCANS = [
     ("valtr-incidence", {"d": 2}),
     ("valtr-incidence", {"d": 3}),
@@ -190,10 +197,30 @@ class TestDefaultLadders:
         assert series.predicted == pytest.approx(1 / 1.6 - 2 / 4)
 
     @pytest.mark.parametrize(
+        "d, s, ladder", [(4, 2.2, [16, 32, 64, 128]), (5, 2.7, [24, 32, 48, 64]), (6, 3.2, [42, 48, 56, 64])]
+    )
+    def test_falconer_ratio_grows_at_d4_to_d6(self, d, s, ladder):
+        # criterion 3 at d = 4, 5, 6 on the default ladders: from n = 13, 23,
+        # 41 on eps < sqrt(1 + n^-2) - 1 leaves only the exact incidences in
+        # the band, whose share grows like N^(1/s - 2/(d+1)); the scan
+        # tolerance cannot tell 0.027 from 0, so the slope is held to 0.001.
+        # The energy at the same s stays bounded.
+        series = run_experiment("falconer-ratio", d=d)
+        params = dict(series.params)
+        assert (params["s"], params["ladder_n"]) == (json.dumps(s), json.dumps(ladder))
+        rec = falconer_measure_ratio(ladder[0], d, s)
+        assert rec.count == exact_valtr_incidences(ladder[0], d).count
+        ratios = [v for _, v in series.points]
+        assert all(b > a for a, b in zip(ratios, ratios[1:])), ratios
+        assert abs(series.fitted_slope - (1 / s - 2 / (d + 1))) <= 0.001, series.fitted_slope
+        energies = [adaptability_sum(gen_valtr(n, d), s).lambda_s for n in (8, 16, 24, 32)]
+        assert max(energies) / min(energies) < 3.0, energies
+
+    @pytest.mark.parametrize(
         "experiment, kwargs, known",
         [
             ("valtr-incidence", {"d": 5}, "d in {2, 3, 4}"),
-            ("falconer-ratio", {"d": 4}, "d in {2, 3}"),
+            ("falconer-ratio", {"d": 7}, "d in {2, 3, 4, 5, 6}"),
             ("lattice-incidence", {"dim": 4}, "dim in {2, 3}"),
             ("gauss-discrepancy", {"dim": 4}, "dim in {2, 3}"),
         ],

@@ -602,7 +602,9 @@ class TestFalconerRatio:
     def test_grouped_counter_against_exact_rational_oracle(self):
         # exact membership: t <= gauge <= t+e iff
         # r2 + t|xd| >= t^2 and r2 + (t+e)|xd| <= (t+e)^2
-        for d, n, s in [(2, n, 1.4) for n in range(1, 13)] + [(3, n, 1.6) for n in range(1, 7)]:
+        cases = [(2, n, 1.4) for n in range(1, 13)] + [(3, n, 1.6) for n in range(1, 7)]
+        cases += [(4, n, 2.2) for n in range(1, 5)] + [(5, n, 2.7) for n in range(1, 4)]
+        for d, n, s in cases:
             rec = falconer_measure_ratio(n, d, s)
             hi = 1 + Fraction(rec.eps)
             n2 = n * n
