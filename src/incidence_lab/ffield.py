@@ -1,6 +1,8 @@
 """Finite-field side: subsets of F_q^d, their discrete Fourier transforms
-against the additive character exp(2*pi*i*u/q), spheres and paraboloids, and
-the Cartesian-product family that makes the pair-count bound sharp.
+against the additive character exp(2*pi*i*u/q), spheres and paraboloids, the
+pair count #{(x, y) in E x E : x - y in gamma} by enumeration or through E's
+autocorrelation, and the Cartesian-product family that makes the pair-count
+bound sharp.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ from .incidence import _head_classes
 
 _MAX_CELLS = 50_000_000
 _PAIR_CHUNK = 512
-# After the last axis, NumPy's fftn transforms the other axes last to first.
-# Its rfftn does so from NumPy 2.0 on; NumPy 1 took them first to last.
-_LEADING_LAST_FIRST = int(np.__version__.split(".")[0]) >= 2
 
 
 def is_prime(q: int) -> bool:
@@ -76,7 +75,7 @@ class FFSpectrum:
 
     @property
     def max_nonzero_mag(self) -> float:
-        mags = np.abs(self.values).ravel().copy()
+        mags = np.abs(self.values).ravel()
         mags[0] = 0.0  # m = (0, ..., 0) sits at flat index 0
         return float(mags.max())
 
@@ -108,65 +107,36 @@ def ff_paraboloid(q: int, d: int) -> FFSet:
     return FFSet(q=q, dim=d, indicator=rhs[..., None] == np.arange(q, dtype=rhs.dtype))
 
 
-def _spectrum(ind: np.ndarray, real: bool) -> np.ndarray:
-    """np.fft.rfftn(ind) when ``real``, else np.fft.fftn(ind), bit for bit,
-    transforming only the last-axis lines that hold a point.
+def _spectrum(ind: np.ndarray) -> np.ndarray:
+    """The half spectrum np.fft.fftn(np.fft.rfft(ind), axes=leading), bit for
+    bit, with rfft taken only on the last-axis lines that hold a point.
 
-    Both apply NumPy's 1-D transform line by line, one axis at a time: the
-    last axis first, then the others in NumPy's order. A line of zeros
-    transforms to zeros, so the last axis is transformed only on the lines
-    of ind that hold a point and the others are left as exact zeros; every
-    other axis is transformed in full. When every line of the last axis
-    holds a point, NumPy transforms ind itself, with no copy."""
+    A line of zeros transforms to zeros, so the other lines are left as exact
+    zeros; the leading axes are then transformed in full, by fftn in the one
+    order it takes them on every NumPy version."""
     occupied = ind.any(axis=-1)
-    if occupied.all():
-        return np.fft.rfftn(ind) if real else np.fft.fftn(ind)
-    q = ind.shape[-1]
-    spec = np.zeros(occupied.shape + (q // 2 + 1 if real else q,), complex)
-    spec[occupied] = (np.fft.rfft if real else np.fft.fft)(ind[occupied])
-    leading = range(ind.ndim - 1)
-    for axis in reversed(leading) if _LEADING_LAST_FIRST or not real else leading:
-        spec = np.fft.fft(spec, axis=axis)
-    return spec
+    spec = np.zeros(occupied.shape + (ind.shape[-1] // 2 + 1,), complex)
+    spec[occupied] = np.fft.rfft(ind[occupied])
+    return np.fft.fftn(spec, axes=range(ind.ndim - 1))
 
 
 def ff_fourier(S: FFSet) -> FFSpectrum:
     """The DFT f_hat(m) = q^-d sum_x exp(-2 pi i x.m / q) f(x), which is
     NumPy's forward FFT (Bluestein's algorithm for a prime length q); cost
-    O(q^d log q), less the lines that hold no point (_spectrum)."""
-    values = _spectrum(S.indicator, real=False)
+    O(q^d log q)."""
+    values = np.fft.fftn(S.indicator)
     values /= S.q**S.dim
     return FFSpectrum(q=S.q, dim=S.dim, values=values)
-
-
-def ff_inverse_at(spec: FFSpectrum, x) -> complex:
-    """Inversion f(x) = sum_m chi(x . m) f_hat(m), for spot checks."""
-    x = np.asarray(x, dtype=np.int64)
-    if x.shape != (spec.dim,):
-        raise InputError(f"x must have {spec.dim} coordinates")
-    q = spec.q
-    phase = np.zeros((q,) * spec.dim)
-    for axis, xi in enumerate(x):
-        shape = [1] * spec.dim
-        shape[axis] = q
-        phase = phase + (np.arange(q) * int(xi)).reshape(shape)
-    return complex((np.exp(2j * np.pi * phase / q) * spec.values).sum())
 
 
 def ff_pair_count(E: FFSet, gamma: FFSet, method: str = "brute"):
     """#{(x, y) in E x E : x - y in gamma}.
 
     ``brute`` enumerates ordered pairs exactly (integer result); ``fourier``
-    evaluates |E|^2 |gamma| q^-d + q^(2d) sum_{m != 0} |E_hat(m)|^2
-    gamma_hat(m) in float64. Both indicators are real, so their spectra are
-    Hermitian (f_hat(-m) is the conjugate of f_hat(m)) and the sum is taken
-    over the half spectrum of ``np.fft.rfftn`` with the real weights
-    |E_hat|^2 Re gamma_hat: each last-axis bin 1 .. ceil(q/2) - 1 also
-    stands for its mirror and counts twice, while bin 0 and, for q = 2, the
-    Nyquist bin 1 are their own mirrors and count once. Both half spectra
-    come from _spectrum, which transforms only the occupied lines, and
-    |E_hat|^2 overwrites E_hat before gamma_hat is built, so at most two
-    half spectra are held at once.
+    sums E's autocorrelation (E * E)(z) = #{(x, y) in E x E : x - y = z} over
+    z in gamma, in float64. The autocorrelation is the inverse transform of
+    |E_hat|^2, taken by irfftn from E's half spectrum (_spectrum, which
+    transforms only the occupied lines); gamma is not transformed.
     """
     if (E.q, E.dim) != (gamma.q, gamma.dim):
         raise ParameterError("E and gamma must live over the same (q, dim)")
@@ -182,16 +152,12 @@ def ff_pair_count(E: FFSet, gamma: FFSet, method: str = "brute"):
             total += int(flat[diff @ strides].sum())
         return total
     if method == "fourier":
-        e_hat = _spectrum(E.indicator, real=True)
-        e_hat /= q**d
+        e_hat = _spectrum(E.indicator)
         # |E_hat|^2 in place: the complex product, which may round through a
         # fused multiply-add, not re^2 + im^2
-        weights = np.multiply(e_hat, e_hat.conj(), out=e_hat).real
-        weights[..., 1 : (q + 1) // 2] *= 2
-        weights.flat[0] = 0.0
-        g_hat = _spectrum(gamma.indicator, real=True)
-        g_hat /= q**d
-        return float(E.size**2 * gamma.size / q**d + q ** (2 * d) * (weights * g_hat.real).sum())
+        power = np.multiply(e_hat, e_hat.conj(), out=e_hat).real
+        corr = np.fft.irfftn(power, s=E.indicator.shape, axes=range(d))
+        return float(corr[gamma.indicator].sum())
     raise ParameterError(f"unknown method {method!r}")
 
 

@@ -151,7 +151,7 @@ def _run_falconer_ratio(d, s, ladder):
     ladders = {2: [64, 128, 256, 512], 3: [4, 8, 16], 4: [16, 32, 64, 128], 5: [24, 32, 48, 64], 6: [42, 48, 56, 64]}
     ladder = _default_ladder(ladder, ladders, "d", d)
     # s must lie in [d/2, (d+1)/2)
-    s = {2: 1.4, 3: 1.6, 4: 2.2, 5: 2.7, 6: 3.2}.get(d, 1.4) if s is None else s
+    s = {2: 1.4, 3: 1.6}.get(d, (d + 1) / 2 - 0.3) if s is None else s
     pts = []
     for n in ladder:
         rec = incidence.falconer_measure_ratio(n, d, s)

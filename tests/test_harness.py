@@ -156,7 +156,8 @@ class TestRunExperiment:
         }
 
 
-# every registered scan at each dimension that has a default ladder;
+# every registered scan at each dimension that has a default ladder, and
+# falconer-ratio at d = 7, which has a default s but needs a ladder;
 # falconer-ratio at d = 4, 5, 6 runs in test_falconer_ratio_grows_at_d4_to_d6
 DEFAULT_SCANS = [
     ("valtr-incidence", {"d": 2}),
@@ -175,6 +176,7 @@ DEFAULT_SCANS = [
     ("gauss-discrepancy", {"dim": 3}),
     ("ff-sharpness", {"d": 2}),
     ("ff-sharpness", {"d": 3}),
+    ("falconer-ratio", {"d": 7, "ladder": [8, 16, 32]}),
 ]
 
 
