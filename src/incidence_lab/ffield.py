@@ -7,6 +7,7 @@ bound sharp.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,20 +46,60 @@ def _validate_grid(q: int, dim: int) -> None:
         raise CapacityError(f"q^dim = {q ** dim} cells exceed the limit {_MAX_CELLS}")
 
 
-@dataclass(frozen=True, eq=False)
 class FFSet:
-    """A subset of F_q^d stored as a dense boolean indicator grid."""
+    """A subset of F_q^d, given by exactly one of
 
-    q: int
-    dim: int
-    indicator: np.ndarray
-    size: int = -1
+    - ``indicator``: its dense boolean grid of shape (q,)*dim;
+    - ``factors``: dim boolean vectors of length q, for the product
+      A_1 x ... x A_dim;
+    - ``quadric``: ("paraboloid", 0) for x_d = x_1^2 + ... + x_{d-1}^2, or
+      ("sphere", t) for x_1^2 + ... + x_d^2 = t.
 
-    def __post_init__(self):
+    A product or a quadric builds ``indicator`` the first time it is read,
+    and only then meets the grid's cell limit. The size of a product is the
+    product of its factors' sizes and needs no grid.
+    """
+
+    def __init__(self, q: int, dim: int, indicator: np.ndarray | None = None, *,
+                 factors: tuple[np.ndarray, ...] | None = None, quadric: tuple[str, int] | None = None):
+        if sum(arg is not None for arg in (indicator, factors, quadric)) != 1:
+            raise InputError("an FFSet takes exactly one of indicator, factors and quadric")
+        _validate_field(q, dim)
+        self.q, self.dim = q, dim
+        self.factors = self.quadric = None
+        if indicator is not None:
+            _validate_grid(q, dim)
+            if indicator.shape != (q,) * dim or indicator.dtype != np.bool_:
+                raise InputError(f"indicator must be a boolean grid of shape {(q,) * dim}")
+            self.indicator = indicator
+        elif factors is not None:
+            self.factors = tuple(factors)
+            if len(self.factors) != dim or any(f.shape != (q,) or f.dtype != np.bool_ for f in self.factors):
+                raise InputError(f"factors must be {dim} boolean vectors of length {q}")
+        else:
+            kind, t = quadric
+            if kind not in ("paraboloid", "sphere"):
+                raise InputError(f"unknown quadric {kind!r}")
+            if kind == "paraboloid" and dim < 2:
+                raise ParameterError("the paraboloid needs dim >= 2")
+            self.quadric = (kind, t % q)
+
+    @functools.cached_property
+    def indicator(self) -> np.ndarray:
         _validate_grid(self.q, self.dim)
-        if self.indicator.shape != (self.q,) * self.dim or self.indicator.dtype != np.bool_:
-            raise InputError(f"indicator must be a boolean grid of shape {(self.q,) * self.dim}")
-        object.__setattr__(self, "size", int(self.indicator.sum()))
+        if self.factors is not None:
+            return functools.reduce(np.logical_and.outer, self.factors)
+        kind, t = self.quadric
+        if kind == "sphere":
+            return _square_sums(self.q, self.dim) == t
+        rhs = _square_sums(self.q, self.dim - 1)
+        return rhs[..., None] == np.arange(self.q, dtype=rhs.dtype)
+
+    @functools.cached_property
+    def size(self) -> int:
+        if self.factors is not None:
+            return math.prod(int(f.sum()) for f in self.factors)
+        return int(self.indicator.sum())
 
     def coords(self) -> np.ndarray:
         """Member cells as an (size, dim) int64 array."""
@@ -94,30 +135,45 @@ def _square_sums(q: int, axes: int) -> np.ndarray:
 
 def ff_sphere(q: int, d: int, t: int) -> FFSet:
     """{x in F_q^d : x_1^2 + ... + x_d^2 = t}."""
-    _validate_grid(q, d)
-    return FFSet(q=q, dim=d, indicator=_square_sums(q, d) == t % q)
+    return FFSet(q=q, dim=d, quadric=("sphere", t))
 
 
 def ff_paraboloid(q: int, d: int) -> FFSet:
     """{x in F_q^d : x_d = x_1^2 + ... + x_{d-1}^2}."""
-    _validate_grid(q, d)
-    if d < 2:
-        raise ParameterError("the paraboloid needs dim >= 2")
-    rhs = _square_sums(q, d - 1)
-    return FFSet(q=q, dim=d, indicator=rhs[..., None] == np.arange(q, dtype=rhs.dtype))
+    return FFSet(q=q, dim=d, quadric=("paraboloid", 0))
 
 
 def _spectrum(ind: np.ndarray) -> np.ndarray:
-    """The half spectrum np.fft.fftn(np.fft.rfft(ind), axes=leading), bit for
-    bit, with rfft taken only on the last-axis lines that hold a point.
+    """The half spectrum: rfft along the last axis, then fftn over the
+    leading axes."""
+    return np.fft.fftn(np.fft.rfft(ind), axes=range(ind.ndim - 1))
 
-    A line of zeros transforms to zeros, so the other lines are left as exact
-    zeros; the leading axes are then transformed in full, by fftn in the one
-    order it takes them on every NumPy version."""
-    occupied = ind.any(axis=-1)
-    spec = np.zeros(occupied.shape + (ind.shape[-1] // 2 + 1,), complex)
-    spec[occupied] = np.fft.rfft(ind[occupied])
-    return np.fft.fftn(spec, axes=range(ind.ndim - 1))
+
+def _product_quadric_count(factors: tuple[np.ndarray, ...], quadric: tuple[str, int]) -> float:
+    """The sum over z in the quadric of (E * E)(z) = prod_j (A_j * A_j)(z_j),
+    for the product E = A_1 x ... x A_d, with no q^d grid: O(d q log q).
+
+    Each 1-D autocorrelation is irfft(|rfft(A_j)|^2). The head axes' ones are
+    binned by z_j^2 mod q and convolved cyclically, by length-q FFTs, into a
+    table T[S] over S = |z'|^2 mod q. The paraboloid z_d = S reads the last
+    axis's autocorrelation at S; the sphere |z|^2 = t bins it by z_d^2 as
+    well and reads it at t - S.
+    """
+    q = len(factors[0])
+    squares = _square_sums(q, 1)
+    corr = []
+    for a in factors:
+        a_hat = np.fft.rfft(a)
+        corr.append(np.fft.irfft((a_hat * a_hat.conj()).real, n=q))
+    head = np.ones(q // 2 + 1, complex)  # the transform of T for no head axes, the unit at S = 0
+    for c in corr[:-1]:
+        head *= np.fft.rfft(np.bincount(squares, weights=c, minlength=q))
+    table = np.fft.irfft(head, n=q)
+    kind, t = quadric
+    if kind == "paraboloid":
+        return float(table @ corr[-1])
+    last = np.bincount(squares, weights=corr[-1], minlength=q)
+    return float(table @ last[(t - np.arange(q)) % q])
 
 
 def ff_fourier(S: FFSet) -> FFSpectrum:
@@ -134,9 +190,12 @@ def ff_pair_count(E: FFSet, gamma: FFSet, method: str = "brute"):
 
     ``brute`` enumerates ordered pairs exactly (integer result); ``fourier``
     sums E's autocorrelation (E * E)(z) = #{(x, y) in E x E : x - y = z} over
-    z in gamma, in float64. The autocorrelation is the inverse transform of
-    |E_hat|^2, taken by irfftn from E's half spectrum (_spectrum, which
-    transforms only the occupied lines); gamma is not transformed.
+    z in gamma, in float64. When E is a product of 1-D factors and gamma a
+    quadric (sharpness_set against ff_paraboloid or ff_sphere), the
+    autocorrelation is the product of the factors' and the sum runs over
+    their squares, with no q^d grid (_product_quadric_count). For any other
+    input it is the inverse transform of |E_hat|^2, taken by irfftn from E's
+    half spectrum on the grid; gamma is not transformed.
     """
     if (E.q, E.dim) != (gamma.q, gamma.dim):
         raise ParameterError("E and gamma must live over the same (q, dim)")
@@ -152,6 +211,8 @@ def ff_pair_count(E: FFSet, gamma: FFSet, method: str = "brute"):
             total += int(flat[diff @ strides].sum())
         return total
     if method == "fourier":
+        if E.factors is not None and gamma.quadric is not None:
+            return _product_quadric_count(E.factors, gamma.quadric)
         e_hat = _spectrum(E.indicator)
         # |E_hat|^2 in place: the complex product, which may round through a
         # fused multiply-add, not re^2 + im^2
@@ -191,12 +252,11 @@ def _sharpness_pair_count(q: int, d: int, a_max: int, b_max: int) -> int:
 
 def sharpness_set(q: int, delta: float, d: int) -> FFSet:
     """The product E = A^(d-1) x B with A = {0, ..., floor(q^(1/2-delta))}
-    and B = {0, ..., floor((d-1) q^(1-2 delta))}, all as residues mod q."""
+    and B = {0, ..., floor((d-1) q^(1-2 delta))}, all as residues mod q,
+    kept as its per-axis factors."""
     a_max, b_max = _sharpness_sides(q, delta, d)
-    _validate_grid(q, d)
-    indicator = np.zeros((q,) * d, dtype=np.bool_)
-    indicator[(slice(0, a_max + 1),) * (d - 1) + (slice(0, b_max + 1),)] = True
-    return FFSet(q=q, dim=d, indicator=indicator)
+    cells = np.arange(q)
+    return FFSet(q=q, dim=d, factors=(cells <= a_max,) * (d - 1) + (cells <= b_max,))
 
 
 def sharpness_ratio(q: int, delta: float, d: int) -> float:

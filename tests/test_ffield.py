@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from incidence_lab import (
+    CapacityError,
     FFSet,
     InputError,
     ParameterError,
@@ -25,6 +26,12 @@ def random_ffset(rng, q, d, density):
     ind = rng.random((q,) * d) < density
     ind.flat[0] = True  # keep nonempty
     return FFSet(q=q, dim=d, indicator=ind)
+
+
+def dense(s):
+    """The same set given by its indicator grid, so that the Fourier count
+    takes the dense path."""
+    return FFSet(q=s.q, dim=s.dim, indicator=s.indicator)
 
 
 def half_spectrum(ind):
@@ -168,8 +175,8 @@ class TestFourier:
 
 
 class TestSpectrum:
-    """_spectrum skips the lines that hold no point and must still be
-    NumPy's transform of every line, value for value."""
+    """_spectrum and the dense Fourier count must be NumPy's transforms,
+    value for value."""
 
     # d = 4 has three leading axes, which fftn takes in one fixed order
     @pytest.mark.parametrize("q, d", [(q, d) for q in (2, 11, 101, 809) for d in (1, 2, 3, 4) if q**d <= 101**3])
@@ -179,7 +186,7 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("q, d", [(2, 1), (2, 2), (11, 1), (11, 2), (11, 3), (101, 2), (809, 2)])
     def test_pair_count_equals_full_spectrum(self, q, d):
-        sets = spectrum_sets(q, d)
+        sets = {name: dense(s) for name, s in spectrum_sets(q, d).items()}
         gamma = sets.get("paraboloid", sets["sphere"])
         for name, e in sets.items():
             assert ff_pair_count(e, gamma, method="fourier") == full_spectrum_pair_count(e, gamma), name
@@ -241,8 +248,9 @@ class TestPairCount:
     def test_fourier_peak_q809(self):
         # E's half spectrum of 809 x 405 complex values, irfftn's complex copy
         # of |E_hat|^2 and the 809 x 809 real autocorrelation, about 5 MiB
-        # each; two full complex spectra alone would take 20 MiB
-        box, par = sharpness_set(809, 0.1, 2), ff_paraboloid(809, 2)
+        # each; two full complex spectra alone would take 20 MiB. Both sets are
+        # given by their grids, so the count takes the dense path.
+        box, par = dense(sharpness_set(809, 0.1, 2)), dense(ff_paraboloid(809, 2))
         tracemalloc.start()
         try:
             count = ff_pair_count(box, par, method="fourier")
@@ -256,6 +264,76 @@ class TestPairCount:
     def test_mismatched_fields_rejected(self):
         with pytest.raises(ParameterError):
             ff_pair_count(ff_sphere(5, 2, 1), ff_sphere(7, 2, 1))
+
+
+def product_grid(factors):
+    """The grid of the product set A_1 x ... x A_d, cell by cell."""
+    q, d = len(factors[0]), len(factors)
+    grid = np.ones((q,) * d, dtype=np.bool_)
+    for axis, f in enumerate(factors):
+        grid &= f.reshape((1,) * axis + (q,) + (1,) * (d - 1 - axis))
+    return grid
+
+
+class TestProductQuadric:
+    """The Fourier count of a product set against a quadric multiplies the
+    1-D autocorrelations and builds no q^d grid."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equals_brute(self, q, d):
+        rng = np.random.default_rng(100 * q + d)
+        cells = np.arange(q)
+        products = [tuple(rng.random(q) < density for _ in range(d)) for density in (0.3, 0.6, 1.0)]
+        products.append(tuple(cells <= rng.integers(0, q) for _ in range(d)))  # a box
+        gammas = [ff_sphere(q, d, t) for t in range(q)] + ([ff_paraboloid(q, d)] if d > 1 else [])
+        for factors in products:
+            e = FFSet(q=q, dim=d, factors=factors)
+            for gamma in gammas:
+                brute = ff_pair_count(dense(e), gamma, method="brute")
+                assert abs(ff_pair_count(e, gamma, method="fourier") - brute) < 1e-6, (gamma.quadric, factors)
+
+    @pytest.mark.parametrize("q, d", [(101, 2), (809, 2), (1601, 2), (101, 3), (211, 3), (401, 3), (4099, 4)])
+    def test_equals_class_count(self, q, d):
+        exact = _sharpness_pair_count(q, d, *_sharpness_sides(q, 0.1, d))
+        count = ff_pair_count(sharpness_set(q, 0.1, d), ff_paraboloid(q, d), method="fourier")
+        assert abs(count - exact) <= 1e-12 * exact
+
+    def test_builds_no_grid_q809(self):
+        tracemalloc.start()
+        try:
+            box, par = sharpness_set(809, 0.1, 2), ff_paraboloid(809, 2)
+            count = ff_pair_count(box, par, method="fourier")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(count - 39525) < 1e-6
+        assert peak < 2**20
+        assert "indicator" not in vars(box) and "indicator" not in vars(par)
+
+    def test_grid_past_the_cell_limit(self):
+        # 401^3 = 64,481,201 cells: the count and the size need no grid
+        box, par = sharpness_set(401, 0.1, 3), ff_paraboloid(401, 3)
+        assert box.size == 11**2 * 242
+        assert abs(ff_pair_count(box, par, method="fourier") - 2958166) <= 1e-12 * 2958166
+        with pytest.raises(CapacityError):
+            box.indicator
+        with pytest.raises(CapacityError):
+            ff_pair_count(box, par, method="brute")
+
+    @pytest.mark.parametrize("q, d", [(2, 1), (5, 2), (13, 3), (101, 2), (11, 4)])
+    def test_indicator_on_demand_equals_eager(self, q, d):
+        rng = np.random.default_rng(q + d)
+        factors = tuple(rng.random(q) < 0.5 for _ in range(d))
+        e = FFSet(q=q, dim=d, factors=factors)
+        assert e.size == int(product_grid(factors).sum())
+        assert e.indicator.dtype == np.bool_ and np.array_equal(e.indicator, product_grid(factors))
+        if d > 1 and (d - 1) * q**0.8 < q:
+            a_max, b_max = _sharpness_sides(q, 0.1, d)
+            eager = np.zeros((q,) * d, dtype=np.bool_)
+            eager[(slice(0, a_max + 1),) * (d - 1) + (slice(0, b_max + 1),)] = True
+            box = sharpness_set(q, 0.1, d)
+            assert box.size == int(eager.sum()) and np.array_equal(box.indicator, eager)
 
 
 class TestSharpness:
@@ -319,3 +397,23 @@ class TestFFSetValidation:
     def test_composite_q_rejected(self):
         with pytest.raises(ParameterError):
             FFSet(q=9, dim=2, indicator=np.ones((9, 9), dtype=np.bool_))
+
+    def test_exactly_one_description(self):
+        ind = np.ones((5, 5), dtype=np.bool_)
+        line = np.ones(5, dtype=np.bool_)
+        with pytest.raises(InputError):
+            FFSet(q=5, dim=2)
+        with pytest.raises(InputError):
+            FFSet(q=5, dim=2, indicator=ind, factors=(line, line))
+
+    def test_bad_factors_and_quadrics_rejected(self):
+        line = np.ones(5, dtype=np.bool_)
+        for factors in [(line,), (line, np.ones(4, dtype=np.bool_)), (line, line.astype(int))]:
+            with pytest.raises(InputError):
+                FFSet(q=5, dim=2, factors=factors)
+        with pytest.raises(InputError):
+            FFSet(q=5, dim=2, quadric=("cone", 0))
+        with pytest.raises(ParameterError):
+            ff_paraboloid(5, 1)
+        with pytest.raises(ParameterError):
+            FFSet(q=9, dim=2, factors=(np.ones(9, dtype=np.bool_),) * 2)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -13,6 +14,7 @@ from incidence_lab import (
     falconer_measure_ratio,
     fit_exponent,
     gen_valtr,
+    is_prime,
     mattila_lattice_crossover,
     parse_series,
     run_experiment,
@@ -178,6 +180,7 @@ DEFAULT_SCANS = [
     ("ff-sharpness", {"d": 3}),
     ("falconer-ratio", {"d": 7, "ladder": [8, 16, 32]}),
 ]
+# ff-sharpness at d = 4, 5, 6 runs in test_ff_sharpness_rises_toward_2delta_at_d4_to_d6
 
 
 class TestDefaultLadders:
@@ -218,11 +221,25 @@ class TestDefaultLadders:
         energies = [adaptability_sum(gen_valtr(n, d), s).lambda_s for n in (8, 16, 24, 32)]
         assert max(energies) / min(energies) < 3.0, energies
 
+    @pytest.mark.parametrize("d, start, top", [(4, 257, 4099), (5, 1031, 16411), (6, 3209, 25693)])
+    def test_ff_sharpness_rises_toward_2delta_at_d4_to_d6(self, d, start, top):
+        # the default ladders start above the wrap bound (d-1)^(1/(2 delta))
+        # and climb by octaves until the local slope is within 0.025 of 2 delta
+        series = run_experiment("ff-sharpness", d=d)
+        qs, ratios = zip(*series.points)
+        assert (qs[0], qs[-1]) == (start, top) and (d - 1) ** 5 < start
+        assert all(map(is_prime, qs)) and all(1.9 < b / a < 2.1 for a, b in zip(qs, qs[1:])), qs
+        assert all(b > a for a, b in zip(ratios, ratios[1:])), ratios
+        top_slope = math.log(ratios[-1] / ratios[-2]) / math.log(qs[-1] / qs[-2])
+        assert abs(top_slope - 0.2) < 0.025, top_slope
+        assert series.verdict == "pass"
+
     @pytest.mark.parametrize(
         "experiment, kwargs, known",
         [
             ("valtr-incidence", {"d": 5}, "d in {2, 3, 4}"),
             ("falconer-ratio", {"d": 7}, "d in {2, 3, 4, 5, 6}"),
+            ("ff-sharpness", {"d": 7}, "d in {2, 3, 4, 5, 6}"),
             ("lattice-incidence", {"dim": 4}, "dim in {2, 3}"),
             ("gauss-discrepancy", {"dim": 4}, "dim in {2, 3}"),
         ],
