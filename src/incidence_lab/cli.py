@@ -46,16 +46,20 @@ def _write(text: str, args) -> None:
         sys.stdout.write(text)
 
 
+def _require_table_format(args) -> None:
+    """Only scan writes gnuplot; every other subcommand writes csv or json."""
+    if args.format not in ("csv", "json"):
+        raise ParameterError(f"unsupported format {args.format!r} for this subcommand")
+
+
 def _emit_record(record: dict, args, csv_header: list[str] | None = None) -> None:
+    _require_table_format(args)
     if args.format == "json":
         _write(json.dumps(record, indent=2) + "\n", args)
         return
-    if args.format == "csv":
-        keys = csv_header or list(record)
-        row = ",".join(str(record[k]) for k in keys)
-        _write(",".join(keys) + "\n" + row + "\n", args)
-        return
-    raise ParameterError(f"unsupported format {args.format!r} for this subcommand")
+    keys = csv_header or list(record)
+    row = ",".join(str(record[k]) for k in keys)
+    _write(",".join(keys) + "\n" + row + "\n", args)
 
 
 def _build_pointset(args) -> pointsets.PointSet:
@@ -96,6 +100,7 @@ def _params_string(args) -> str:
 
 
 def _cmd_gen(args) -> int:
+    _require_table_format(args)
     if args.generator == "cantor":
         _require(args, "alpha", "levels")
         params = pointsets.CantorParams(args.alpha, args.levels)
@@ -227,6 +232,7 @@ def _parse_radius_range(spec: str) -> list[float]:
 
 
 def _cmd_gauss(args) -> int:
+    _require_table_format(args)
     if args.N is not None:
         if args.s is None:
             raise ParameterError("--N needs --s for the incidence total")
@@ -284,7 +290,7 @@ def _cmd_ffield(args) -> int:
         record["pair_count"] = count
         record["pair_count_normalized"] = count * args.q / gamma.size**2
         if args.set == "sharpness" and args.pair_with == "paraboloid" and args.method == "brute":
-            record["sharpness_ratio"] = ffield.sharpness_ratio(args.q, args.delta, args.d)
+            record["sharpness_ratio"] = record["pair_count_normalized"]  # the same count of the same sets
     _emit_record(record, args)
     return 0
 

@@ -1,8 +1,8 @@
 """Finite-field side: subsets of F_q^d, their discrete Fourier transforms
 against the additive character exp(2*pi*i*u/q), spheres and paraboloids, the
-pair count #{(x, y) in E x E : x - y in gamma} by enumeration or through E's
-autocorrelation, and the Cartesian-product family that makes the pair-count
-bound sharp.
+pair count #{(x, y) in E x E : x - y in gamma} exactly (by difference classes
+for a product against a quadric) or through E's autocorrelation, and the
+Cartesian-product family that makes the pair-count bound sharp.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InputError, ParameterError
-from .incidence import _head_classes
+from .incidence import _axis_gaps, _head_classes
 
 _MAX_CELLS = 50_000_000
 _PAIR_CHUNK = 512
@@ -56,8 +56,8 @@ class FFSet:
       ("sphere", t) for x_1^2 + ... + x_d^2 = t.
 
     A product or a quadric builds ``indicator`` the first time it is read,
-    and only then meets the grid's cell limit. The size of a product is the
-    product of its factors' sizes and needs no grid.
+    and only then meets the grid's cell limit. The size of a product or a
+    quadric needs no grid.
     """
 
     def __init__(self, q: int, dim: int, indicator: np.ndarray | None = None, *,
@@ -99,7 +99,17 @@ class FFSet:
     def size(self) -> int:
         if self.factors is not None:
             return math.prod(int(f.sum()) for f in self.factors)
-        return int(self.indicator.sum())
+        if self.quadric is None:
+            return int(self.indicator.sum())
+        q, d = self.q, self.dim
+        kind, t = self.quadric
+        if kind == "paraboloid" or q == 2:  # over F_2, x^2 = x: the sphere is a hyperplane
+            return q ** (d - 1)
+        # from Gauss sums; eta is the quadratic character, by Euler's criterion
+        eta = lambda a: (pow(a, (q - 1) // 2, q) + 1) % q - 1  # noqa: E731
+        if d % 2:
+            return q ** (d - 1) + q ** (d // 2) * eta((-1) ** (d // 2) * t)
+        return q ** (d - 1) + (q - 1 if t == 0 else -1) * q ** (d // 2 - 1) * eta((-1) ** (d // 2))
 
     def coords(self) -> np.ndarray:
         """Member cells as an (size, dim) int64 array."""
@@ -188,7 +198,8 @@ def ff_fourier(S: FFSet) -> FFSpectrum:
 def ff_pair_count(E: FFSet, gamma: FFSet, method: str = "brute"):
     """#{(x, y) in E x E : x - y in gamma}.
 
-    ``brute`` enumerates ordered pairs exactly (integer result); ``fourier``
+    ``brute`` is exact (integer result): difference classes for a product E
+    against a quadric (_product_quadric_pairs), pair enumeration otherwise. ``fourier``
     sums E's autocorrelation (E * E)(z) = #{(x, y) in E x E : x - y = z} over
     z in gamma, in float64. When E is a product of 1-D factors and gamma a
     quadric (sharpness_set against ff_paraboloid or ff_sphere), the
@@ -201,6 +212,8 @@ def ff_pair_count(E: FFSet, gamma: FFSet, method: str = "brute"):
         raise ParameterError("E and gamma must live over the same (q, dim)")
     q, d = E.q, E.dim
     if method == "brute":
+        if E.factors is not None and gamma.quadric is not None:
+            return _product_quadric_pairs(E.factors, gamma.quadric)
         pts = E.coords()
         flat = gamma.indicator.ravel()
         strides = np.array([q ** (d - 1 - j) for j in range(d)], dtype=np.int64)
@@ -222,8 +235,27 @@ def ff_pair_count(E: FFSet, gamma: FFSet, method: str = "brute"):
     raise ParameterError(f"unknown method {method!r}")
 
 
-def _sharpness_sides(q: int, delta: float, d: int) -> tuple[int, int]:
-    """(a_max, b_max) of the sharpness box, after checking its parameters."""
+def _product_quadric_pairs(factors: tuple[np.ndarray, ...], quadric: tuple[str, int]) -> int:
+    """The exact pair count of a product E against a quadric, with no q^d
+    grid: the head gaps grouped by S = |x' - y'|^2 (_head_classes) fill a
+    table T[S mod q], read at each last-axis gap e (_axis_gaps pools e and
+    -e): e = S mod q for the paraboloid, e^2 = t - S for the sphere."""
+    q = len(factors[0])
+    axes = [np.flatnonzero(f).tolist() for f in factors]
+    table = [0] * q
+    for s, m in _head_classes(axes[:-1], (1,) * (len(axes) - 1))[1].items():
+        table[s % q] += m
+    kind, t = quadric
+    gaps = _axis_gaps(axes[-1]).items()
+    if kind == "paraboloid":  # a gap g > 0 holds m / 2 pairs at e = g and m / 2 at e = -g
+        return sum(m * (table[g % q] + table[-g % q]) for g, m in gaps) // 2
+    return sum(m * table[(t - g * g) % q] for g, m in gaps)
+
+
+def sharpness_set(q: int, delta: float, d: int) -> FFSet:
+    """The product E = A^(d-1) x B with A = {0, ..., floor(q^(1/2-delta))}
+    and B = {0, ..., floor((d-1) q^(1-2 delta))}, all as residues mod q,
+    kept as its per-axis factors."""
     _validate_field(q, d)
     if d < 2:
         raise ParameterError("sharpness_set needs dim >= 2")
@@ -235,26 +267,6 @@ def _sharpness_sides(q: int, delta: float, d: int) -> tuple[int, int]:
         raise ParameterError(
             f"(d-1) q^(1-2 delta) = {b_max} wraps around mod q = {q}; increase delta or q"
         )
-    return a_max, b_max
-
-
-def _sharpness_pair_count(q: int, d: int, a_max: int, b_max: int) -> int:
-    """Ordered pairs of the box {0..a_max}^(d-1) x {0..b_max} in F_q^d whose
-    difference lies on the paraboloid, by difference classes.
-
-    The head differences D in [-a_max, a_max]^(d-1) are grouped by
-    S = |D|^2 with their pair counts; the last-axis gap e must be S mod q
-    or S mod q - q, since |e| <= b_max < q, and it occurs b_max+1-|e| times.
-    """
-    _, classes = _head_classes((range(a_max + 1),) * (d - 1), (1,) * (d - 1))
-    return sum(m * (max(0, b_max + 1 - s % q) + max(0, b_max + 1 - q + s % q)) for s, m in classes.items())
-
-
-def sharpness_set(q: int, delta: float, d: int) -> FFSet:
-    """The product E = A^(d-1) x B with A = {0, ..., floor(q^(1/2-delta))}
-    and B = {0, ..., floor((d-1) q^(1-2 delta))}, all as residues mod q,
-    kept as its per-axis factors."""
-    a_max, b_max = _sharpness_sides(q, delta, d)
     cells = np.arange(q)
     return FFSet(q=q, dim=d, factors=(cells <= a_max,) * (d - 1) + (cells <= b_max,))
 
@@ -262,8 +274,6 @@ def sharpness_set(q: int, delta: float, d: int) -> FFSet:
 def sharpness_ratio(q: int, delta: float, d: int) -> float:
     """Pair count of the sharpness set against the paraboloid, divided by
     |E|^2 / q. Grows like q^(2 delta), defeating any uniform pair-count
-    bound below the |E| ~ q^((d+1)/2) threshold. Nothing is built on the
-    q^d grid: |E| = (a_max+1)^(d-1) (b_max+1)."""
-    a_max, b_max = _sharpness_sides(q, delta, d)
-    size = (a_max + 1) ** (d - 1) * (b_max + 1)
-    return _sharpness_pair_count(q, d, a_max, b_max) * q / size**2
+    bound below the |E| ~ q^((d+1)/2) threshold. Exact, with no q^d grid."""
+    E = sharpness_set(q, delta, d)
+    return ff_pair_count(E, ff_paraboloid(q, d)) * q / E.size**2

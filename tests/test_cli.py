@@ -44,6 +44,12 @@ class TestGen:
         assert code == 1
         assert "error" in err
 
+    def test_gnuplot_rejected(self, capsys):
+        code, out, err = run(capsys, "gen", "--generator", "valtr", "--n", "2", "--d", "2",
+                             "--format", "gnuplot")
+        assert code == 1 and out == ""
+        assert err == "error: unsupported format 'gnuplot' for this subcommand\n"
+
 
 class TestGauge:
     def test_eval(self, capsys):
@@ -125,6 +131,12 @@ class TestGauss:
         assert obj["incidences"] == obj["shell_points"] * 400
         assert obj["valid"] is True
 
+    def test_gnuplot_rejected(self, capsys):
+        for extra in (["--R", "5"], ["--R", "5", "--w", "0"], ["--N", "400", "--s", "1.48"]):
+            code, out, err = run(capsys, "gauss", "--dim", "2", *extra, "--format", "gnuplot")
+            assert code == 1 and out == ""
+            assert err == "error: unsupported format 'gnuplot' for this subcommand\n"
+
 
 class TestFField:
     def test_sphere_record(self, capsys):
@@ -142,8 +154,8 @@ class TestFField:
         assert obj["sharpness_ratio"] == pytest.approx(1.9827, abs=1e-4)
 
     def test_sharpness_fourier_past_the_cell_limit(self, capsys):
-        # 401^3 cells exceed the grid limit; the Fourier count of the box
-        # against the paraboloid needs no grid, the brute count does
+        # 401^3 cells exceed the grid limit; neither the Fourier count of the
+        # box against the paraboloid nor the exact (brute) one builds the grid
         argv = ["ffield", "--q", "401", "--d", "3", "--set", "sharpness", "--delta", "0.1",
                 "--pair-with", "paraboloid"]
         code, out, _ = run(capsys, *argv, "--method", "fourier")
@@ -151,8 +163,15 @@ class TestFField:
         assert code == 0 and obj["size"] == 11**2 * 242
         assert abs(obj["pair_count"] - 2958166) <= 1e-12 * 2958166
         code, out, err = run(capsys, *argv)
-        assert code == 1 and out == ""
-        assert err == "error: q^dim = 64481201 cells exceed the limit 50000000\n"
+        obj = json.loads(out)
+        assert code == 0 and err == ""
+        assert obj["pair_count"] == 2958166
+        assert obj["sharpness_ratio"] == obj["pair_count_normalized"] == 2958166 * 401 / 29282**2
+
+    def test_quadric_size_past_the_cell_limit(self, capsys):
+        for argv, size in [(["--set", "sphere", "--t", "1"], 161202), (["--set", "paraboloid"], 160801)]:
+            code, out, _ = run(capsys, "ffield", "--q", "401", "--d", "3", *argv)
+            assert code == 0 and json.loads(out)["size"] == size
 
     def test_empty_set_pairing_exit1(self, capsys):
         # no x in F_5 has x^2 = 2

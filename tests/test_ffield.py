@@ -17,7 +17,7 @@ from incidence_lab import (
     sharpness_ratio,
     sharpness_set,
 )
-from incidence_lab.ffield import _sharpness_pair_count, _sharpness_sides, _spectrum
+from incidence_lab.ffield import _spectrum
 
 SMALL_FIELDS = [(q, d) for q in (3, 5, 7, 11, 13) for d in (2, 3)]
 
@@ -89,6 +89,22 @@ class TestVarieties:
     def test_paraboloid_size_exact(self):
         for q, d in SMALL_FIELDS:
             assert ff_paraboloid(q, d).size == q ** (d - 1)
+
+    def test_quadric_sizes_equal_grid(self):
+        # the closed forms against the grid sums, over F_2 too and at every t
+        for q in (2, 3, 5, 7, 11, 13):
+            for d in (1, 2, 3, 4):
+                quadrics = [ff_sphere(q, d, t) for t in range(q)] + ([ff_paraboloid(q, d)] if d > 1 else [])
+                for s in quadrics:
+                    size = s.size
+                    assert "indicator" not in vars(s)
+                    assert size == int(s.indicator.sum()), (q, d, s.quadric)
+
+    def test_quadric_sizes_past_the_cell_limit(self):
+        # 401^3 cells: the sizes need no grid
+        assert ff_paraboloid(401, 3).size == 401**2
+        assert ff_sphere(401, 3, 1).size == 161202  # q^2 + q eta(-1), and 401 = 1 mod 4
+        assert ff_sphere(401, 4, 0).size == 401**3 + 400 * 401
 
     def test_sphere_size_near_qd1(self):
         for q, d in SMALL_FIELDS:
@@ -282,20 +298,26 @@ class TestProductQuadric:
     @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_equals_brute(self, q, d):
+        # the exact class count and the Fourier count against the enumeration
         rng = np.random.default_rng(100 * q + d)
         cells = np.arange(q)
         products = [tuple(rng.random(q) < density for _ in range(d)) for density in (0.3, 0.6, 1.0)]
         products.append(tuple(cells <= rng.integers(0, q) for _ in range(d)))  # a box
+        products.append(tuple(cells <= rng.integers(0, q) for _ in range(d - 1)) + (cells <= q - 1,))
+        products.append((cells < 0,) + tuple(rng.random(q) < 0.5 for _ in range(d - 1)))  # empty
         gammas = [ff_sphere(q, d, t) for t in range(q)] + ([ff_paraboloid(q, d)] if d > 1 else [])
         for factors in products:
             e = FFSet(q=q, dim=d, factors=factors)
-            for gamma in gammas:
+            exact = [ff_pair_count(e, gamma) for gamma in gammas]
+            assert "indicator" not in vars(e)
+            for gamma, count in zip(gammas, exact):
                 brute = ff_pair_count(dense(e), gamma, method="brute")
+                assert type(count) is int and count == brute, (gamma.quadric, factors)
                 assert abs(ff_pair_count(e, gamma, method="fourier") - brute) < 1e-6, (gamma.quadric, factors)
 
     @pytest.mark.parametrize("q, d", [(101, 2), (809, 2), (1601, 2), (101, 3), (211, 3), (401, 3), (4099, 4)])
     def test_equals_class_count(self, q, d):
-        exact = _sharpness_pair_count(q, d, *_sharpness_sides(q, 0.1, d))
+        exact = ff_pair_count(sharpness_set(q, 0.1, d), ff_paraboloid(q, d))
         count = ff_pair_count(sharpness_set(q, 0.1, d), ff_paraboloid(q, d), method="fourier")
         assert abs(count - exact) <= 1e-12 * exact
 
@@ -312,14 +334,14 @@ class TestProductQuadric:
         assert "indicator" not in vars(box) and "indicator" not in vars(par)
 
     def test_grid_past_the_cell_limit(self):
-        # 401^3 = 64,481,201 cells: the count and the size need no grid
+        # 401^3 = 64,481,201 cells: the counts and the size need no grid
         box, par = sharpness_set(401, 0.1, 3), ff_paraboloid(401, 3)
         assert box.size == 11**2 * 242
         assert abs(ff_pair_count(box, par, method="fourier") - 2958166) <= 1e-12 * 2958166
+        count = ff_pair_count(box, par, method="brute")
+        assert type(count) is int and count == 2958166
         with pytest.raises(CapacityError):
             box.indicator
-        with pytest.raises(CapacityError):
-            ff_pair_count(box, par, method="brute")
 
     @pytest.mark.parametrize("q, d", [(2, 1), (5, 2), (13, 3), (101, 2), (11, 4)])
     def test_indicator_on_demand_equals_eager(self, q, d):
@@ -329,7 +351,7 @@ class TestProductQuadric:
         assert e.size == int(product_grid(factors).sum())
         assert e.indicator.dtype == np.bool_ and np.array_equal(e.indicator, product_grid(factors))
         if d > 1 and (d - 1) * q**0.8 < q:
-            a_max, b_max = _sharpness_sides(q, 0.1, d)
+            a_max, b_max = math.floor(q**0.4), math.floor((d - 1) * q**0.8)
             eager = np.zeros((q,) * d, dtype=np.bool_)
             eager[(slice(0, a_max + 1),) * (d - 1) + (slice(0, b_max + 1),)] = True
             box = sharpness_set(q, 0.1, d)
@@ -364,8 +386,8 @@ class TestSharpness:
                 e = sharpness_set(q, delta, d)
             except ParameterError:
                 continue
-            brute = ff_pair_count(e, ff_paraboloid(q, d), method="brute")
-            assert _sharpness_pair_count(q, d, *_sharpness_sides(q, delta, d)) == brute, delta
+            brute = ff_pair_count(dense(e), ff_paraboloid(q, d), method="brute")
+            assert ff_pair_count(e, ff_paraboloid(q, d)) == brute, delta
             assert sharpness_ratio(q, delta, d) == brute * q / e.size**2
             checked += 1
         assert checked >= 2
