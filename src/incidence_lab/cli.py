@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -220,7 +221,7 @@ def _parse_radius_range(spec: str) -> list[float]:
             raise ParameterError(f"bad radius range {spec!r}; use start:stop[:step]")
         start, stop = float(parts[0]), float(parts[1])
         step = float(parts[2]) if len(parts) == 3 else 1.0
-        if step <= 0 or stop < start:
+        if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
             raise ParameterError(f"bad radius range {spec!r}")
         out = []
         r = start
@@ -254,7 +255,9 @@ def _cmd_gauss(args) -> int:
         return 0
     reports = [latticecount.ball_count(args.dim, r) for r in radii]
     if args.format == "json":
-        _write(json.dumps([asdict(rep) for rep in reports], indent=2) + "\n", args)
+        obj = [{"dim": rep.dim, "radius": rep.radius, "count": rep.count,
+                "volume_term": rep.volume_term, "discrepancy": rep.discrepancy} for rep in reports]
+        _write(json.dumps(obj, indent=2) + "\n", args)
     else:
         lines = ["dim,R,count,volume,discrepancy"]
         for rep in reports:

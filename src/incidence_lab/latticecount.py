@@ -20,13 +20,22 @@ _MAX_RADIUS = {2: 2_000_000.0, 3: 20_000.0}
 _VALIDITY_THRESHOLD = {2: 416.0 / 285.0, 3: 16.0 / 9.0}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatticeCountReport:
+    """Exact ball count; the volume term and the discrepancy are derived."""
+
     dim: int
     radius: float
     count: int
-    volume_term: float
-    discrepancy: float
+
+    @property
+    def volume_term(self) -> float:
+        r = self.radius
+        return math.pi * r * r if self.dim == 2 else 4.0 / 3.0 * math.pi * r**3
+
+    @property
+    def discrepancy(self) -> float:
+        return self.count - self.volume_term
 
 
 @dataclass(frozen=True)
@@ -63,17 +72,31 @@ def _floorsqrt_vec(v: np.ndarray) -> np.ndarray:
     return y
 
 
+# cells per dim-3 row block, so that no temporary grows with the radius
+_BLOCK_CELLS = 1 << 15
+
+
 def _count_le_int(t2: int, dim: int) -> int:
-    """#(z in Z^dim with |z|^2 <= t2), integer threshold, vectorized rows."""
+    """#(z in Z^dim with |z|^2 <= t2), integer threshold, vectorized rows.
+
+    Only the quadrant of the leading coordinates x >= 1 (dim 2) or
+    x, y >= 0 (dim 3) is visited; each row or cell stands for its sign
+    images, and the last coordinate contributes 2 floor(sqrt(rest)) + 1."""
     if t2 < 0:
         return 0
+    top = math.isqrt(t2)
     if dim == 2:
-        x_max = math.isqrt(t2)
-        xs = np.arange(-x_max, x_max + 1, dtype=np.int64)
-        return int((2 * _floorsqrt_vec(t2 - xs * xs) + 1).sum())
+        xs = np.arange(1, top + 1, dtype=np.int64)
+        return 1 + 4 * top + 4 * int(_floorsqrt_vec(t2 - xs * xs).sum())
+    sq = np.arange(top + 1, dtype=np.int64) ** 2
+    weight = np.full(top + 1, 2, dtype=np.int64)
+    weight[0] = 1
+    rows = max(1, _BLOCK_CELLS // (top + 1))
     total = 0
-    for x in range(-math.isqrt(t2), math.isqrt(t2) + 1):
-        total += _count_le_int(t2 - x * x, 2)
+    for x0 in range(0, top + 1, rows):
+        rest = t2 - sq[x0 : x0 + rows, None] - sq[None, :]
+        cells = np.where(rest >= 0, 2 * _floorsqrt_vec(np.maximum(rest, 0)) + 1, 0)
+        total += int(weight[x0 : x0 + rows] @ (cells @ weight))
     return total
 
 
@@ -89,11 +112,7 @@ def ball_count(dim: int, R) -> LatticeCountReport:
         raise CapacityError(f"R={R!r} exceeds the dim-{dim} limit {_MAX_RADIUS[dim]}")
     # |z|^2 is an integer, so |z|^2 <= R^2 iff |z|^2 <= floor(R^2)
     count = _count_le_int(math.floor(r_frac * r_frac), dim)
-    r = float(r_frac)
-    volume = math.pi * r * r if dim == 2 else 4.0 / 3.0 * math.pi * r**3
-    return LatticeCountReport(
-        dim=dim, radius=r, count=count, volume_term=volume, discrepancy=count - volume
-    )
+    return LatticeCountReport(dim=dim, radius=float(r_frac), count=count)
 
 
 def shell_count(dim: int, R, w, include_inner_boundary: bool = True) -> int:

@@ -118,6 +118,36 @@ class TestGauss:
         lines = out.strip().split("\n")
         assert len(lines) == 4  # header + R in {1, 3, 5}
 
+    @pytest.mark.parametrize("spec", ["1:inf", "10:30:nan", "nan:5"])
+    def test_nonfinite_range_rejected(self, capsys, spec):
+        code, out, err = run(capsys, "gauss", "--dim", "2", "--R", spec)
+        assert code == 1 and out == ""
+        assert err == f"error: bad radius range {spec!r}\n"
+
+    def test_dim3_output_pinned(self, capsys):
+        # captured before the dim-3 counter became one quadrant pass in row
+        # blocks; R = 300 and 450 take more than one block
+        code, out, _ = run(capsys, "gauss", "--dim", "3", "--R", "150:450:150")
+        assert code == 0
+        assert out == (
+            "dim,R,count,volume,discrepancy\n"
+            "3,150.0,14137637,14137166.941154068,470.0588459316641\n"
+            "3,300.0,113094545,113097335.52923255,-2790.529232546687\n"
+            "3,450.0,381700197,381703507.4111598,-3310.411159813404\n"
+        )
+        code, out, _ = run(capsys, "gauss", "--dim", "3", "--R", "150:450:150", "--format", "json")
+        assert code == 0
+        assert out == (
+            '[\n'
+            '  {\n    "dim": 3,\n    "radius": 150.0,\n    "count": 14137637,\n'
+            '    "volume_term": 14137166.941154068,\n    "discrepancy": 470.0588459316641\n  },\n'
+            '  {\n    "dim": 3,\n    "radius": 300.0,\n    "count": 113094545,\n'
+            '    "volume_term": 113097335.52923255,\n    "discrepancy": -2790.529232546687\n  },\n'
+            '  {\n    "dim": 3,\n    "radius": 450.0,\n    "count": 381700197,\n'
+            '    "volume_term": 381703507.4111598,\n    "discrepancy": -3310.411159813404\n  }\n'
+            ']\n'
+        )
+
     def test_shell(self, capsys):
         code, out, _ = run(capsys, "gauss", "--dim", "2", "--R", "5", "--w", "0")
         lines = out.strip().split("\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,11 +7,13 @@ import pytest
 
 from incidence_lab import (
     CapacityError,
+    LatticeCountReport,
     ParameterError,
     ball_count,
     lattice_incidence_total,
     shell_count,
 )
+from incidence_lab.latticecount import _count_le_int
 
 
 def brute_ball_exact(dim, threshold: Fraction):
@@ -62,6 +65,46 @@ class TestBallCount:
             ball_count(2, -1)
         with pytest.raises(CapacityError):
             ball_count(2, 10**9)
+
+
+def disk_rows(t2: int) -> int:
+    """#(z in Z^2 with |z|^2 <= t2), one Python row per x."""
+    top = math.isqrt(t2)
+    return sum(2 * math.isqrt(t2 - x * x) + 1 for x in range(-top, top + 1))
+
+
+class TestCountLeInt:
+    # R >= 181 makes the dim-3 quadrant (R + 1 columns) span more than one
+    # row block of 2^15 cells
+    THRESHOLDS = [0] + [t for R in (180, 181, 182, 200, 257) for t in (R * R, R * R - 1, R * R + R)]
+
+    def test_dim2_matches_rows(self):
+        for t2 in self.THRESHOLDS + [10**10, 10**10 - 1]:
+            assert _count_le_int(t2, 2) == disk_rows(t2)
+
+    def test_dim3_matches_sum_of_disks(self):
+        for t2 in self.THRESHOLDS:
+            top = math.isqrt(t2)
+            want = sum(_count_le_int(t2 - x * x, 2) for x in range(-top, top + 1))
+            assert _count_le_int(t2, 3) == want
+
+    def test_negative_threshold(self):
+        assert _count_le_int(-1, 2) == 0
+        assert _count_le_int(-1, 3) == 0
+
+
+class TestLatticeCountReport:
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(LatticeCountReport)] == ["dim", "radius", "count"]
+        assert not hasattr(ball_count(2, 5), "__dict__")
+
+    def test_derived_terms_bitwise(self):
+        for dim, R in [(2, 5), (2, 7.25), (2, 9999), (3, 1), (3, Fraction(15, 4)), (3, 257)]:
+            rep = ball_count(dim, R)
+            r = float(Fraction(R))
+            volume = math.pi * r * r if dim == 2 else 4.0 / 3.0 * math.pi * r**3
+            assert rep.volume_term.hex() == volume.hex()
+            assert rep.discrepancy.hex() == (rep.count - volume).hex()
 
 
 class TestShellCount:
