@@ -16,7 +16,9 @@ The ``grid`` method finds the later target cells of each source cell by
 binary search on the sorted cell keys, so it too decides each unordered
 pair once, and counts its candidate pairs in chunks of about 2^16, with the
 brute method's r^2 and band test; for the paraboloid body both take r^2
-over the head axes and the last-axis gap. An O(N^2) brute
+over the head axes and the last-axis gap. The Euclidean band test compares
+r^2 itself with two float limits, found once per count, that give the same
+decision as comparing sqrt(r^2) with t and t + eps. An O(N^2) brute
 Valtr oracle on the same tiles, over the integer grid indices, serves the tests.
 
 All pair counts are over ordered pairs.
@@ -25,6 +27,7 @@ All pair counts are over ordered pairs.
 from __future__ import annotations
 
 import math
+import struct
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -49,6 +52,7 @@ _MAX_OCCUPIED_CELLS = 20_000
 _PRUNE_PAIRS = 1 << 18  # (source cell, head) pairs per block of the grid prune
 _CHUNK_PAIRS = 1 << 16  # candidate pairs per chunk of the grid count
 _MAX_PRODUCT_CLASSES = 4_000_000
+_INF_BITS = 0x7FF0000000000000  # bit pattern of float64 inf
 
 
 @dataclass(frozen=True)
@@ -169,21 +173,56 @@ def _map_upper_tiles(fn, pts: np.ndarray, threads: int) -> list:
     return work(0)
 
 
-def _band_count(g: Gauge, r2: np.ndarray, a, t: float, eps: float) -> int:
+def _least_float(pred) -> float:
+    """Least finite float64 x >= 0 with pred(x), or inf when there is none.
+    pred must be False, then True, along the nonnegative floats, which their
+    bit patterns order, so at most 63 bisection steps find it."""
+    lo, hi = 0, _INF_BITS
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(_float_of_bits(mid)):
+            hi = mid
+        else:
+            lo = mid + 1
+    return _float_of_bits(lo)
+
+
+def _float_of_bits(n: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", n))[0]
+
+
+def _band_limits(g: Gauge, t: float, eps: float) -> tuple[float, float]:
+    """(lo, hi) such that a pair is in the band t <= ||y - x|| <= t + eps
+    iff lo <= v <= hi, where v is the value _band_count compares: the gauge
+    for the paraboloid body, and r2 itself for the Euclidean gauge. There
+    lo is the least float with sqrt(lo) >= t and hi the greatest finite float
+    with sqrt(hi) <= t + eps; correctly rounded sqrt is monotone, so this is
+    the float64 decision on sqrt(r2), with no sqrt pass, for any t > 0,
+    tiny or huge, and r2 = inf stays outside."""
+    if g.kind == PARABOLOID_BODY:
+        return t, t + eps
+    lo = _least_float(lambda x: math.sqrt(x) >= t)
+    hi = math.nextafter(_least_float(lambda x: math.sqrt(x) > t + eps), 0.0)
+    return lo, hi
+
+
+def _band_count(g: Gauge, r2: np.ndarray, a, band: tuple[float, float]) -> int:
     """Pairs (x, y) with t <= ||y - x|| <= t + eps, both ends closed, given
-    r2 = |y - x|^2 summed over the axes the gauge squares (all of them for
-    the Euclidean gauge, all but the last for the paraboloid body; r2 is
-    overwritten) and a = |y_d - x_d| for the paraboloid body, else None. An
-    r2 of inf, or x = y, is outside the band."""
-    v = _body_gauge(r2, a) if g.kind == PARABOLOID_BODY else np.sqrt(r2, out=r2)
-    return int(((v >= t) & (v <= t + eps)).sum())
+    band = _band_limits(g, t, eps), r2 = |y - x|^2 summed over the axes the
+    gauge squares (all of them for the Euclidean gauge, all but the last for
+    the paraboloid body, whose gauge overwrites r2) and a = |y_d - x_d| for
+    the paraboloid body, else None. An r2 of inf, or x = y, is outside the
+    band."""
+    lo, hi = band
+    v = _body_gauge(r2, a) if g.kind == PARABOLOID_BODY else r2
+    return int(np.count_nonzero((v >= lo) & (v <= hi)))
 
 
 def _annulus_brute(pts: np.ndarray, g: Gauge, t: float, eps: float, threads: int) -> int:
-    body, last = g.kind == PARABOLOID_BODY, pts[:, -1]
+    body, last, band = g.kind == PARABOLOID_BODY, pts[:, -1], _band_limits(g, t, eps)
 
     def one(r2, i0, i1):
-        return _band_count(g, r2, np.abs(last[i0:] - last[i0:i1, None]) if body else None, t, eps)
+        return _band_count(g, r2, np.abs(last[i0:] - last[i0:i1, None]) if body else None, band)
 
     return 2 * sum(_map_upper_tiles(one, pts[:, :-1] if body else pts, threads))  # r^2 and a are symmetric
 
@@ -195,8 +234,9 @@ def _annulus_grid(pts: np.ndarray, g: Gauge, t: float, eps: float) -> int:
     _map_upper_tiles). Membership uses the same r^2 and the same band test
     as the brute method, hence the counts agree exactly."""
     by_cell, bounds, same, later = _grid_runs(pts, g, t, eps)
-    count = _runs_band_count(g, by_cell, bounds, *same, t, eps)
-    return count + 2 * sum(_runs_band_count(g, by_cell, bounds, *runs, t, eps) for runs in later)
+    band = _band_limits(g, t, eps)
+    count = _runs_band_count(g, by_cell, bounds, *same, band)
+    return count + 2 * sum(_runs_band_count(g, by_cell, bounds, *runs, band) for runs in later)
 
 
 def _grid_runs(pts: np.ndarray, g: Gauge, t: float, eps: float):
@@ -309,7 +349,7 @@ def _grid_runs(pts: np.ndarray, g: Gauge, t: float, eps: float):
     return pts[order], bounds, (same, bounds[same], bounds[same + 1]), later()
 
 
-def _runs_band_count(g, by_cell, bounds, cell, first, stop, t, eps) -> int:
+def _runs_band_count(g, by_cell, bounds, cell, first, stop, band) -> int:
     """Band count over the pairs of each point of cell[r] with the points
     first[r] .. stop[r] - 1 of by_cell, cell c holding
     by_cell[bounds[c]:bounds[c + 1]]. The runs are grouped by the point
@@ -327,7 +367,7 @@ def _runs_band_count(g, by_cell, bounds, cell, first, stop, t, eps) -> int:
         j = max(i + 1, min(group_end[i], np.searchsorted(ends, base + _CHUNK_PAIRS, side="right")))
         # r2 and a stay bound while the next chunk is built: freeing them first was twice as slow
         r2, a = _runs_r2(cols, s_of[i], src[i:j], first[i:j], lens[i:j], body)
-        count += _band_count(g, r2, a, t, eps)
+        count += _band_count(g, r2, a, band)
         i = j
     return count
 

@@ -3,6 +3,9 @@
 Boundary membership is decided by comparing the integer |z|^2 against exact
 rational squared radii (floats are converted to the exact rational they
 represent), so counts are reproducible and free of rounding at the boundary.
+The integer square roots behind each row are one float64 pass, exact for
+every integer threshold below 2^52 (see _floorsqrt_vec); the radius limits
+keep the thresholds far below it.
 """
 
 from __future__ import annotations
@@ -65,12 +68,18 @@ def _as_fraction(x) -> Fraction:
 
 
 def _floorsqrt_vec(v: np.ndarray) -> np.ndarray:
-    """Exact floor(sqrt(v)) for int64 v >= 0."""
-    y = np.sqrt(v.astype(np.float64)).astype(np.int64)
-    y -= y * y > v
-    y += (y + 1) * (y + 1) <= v
-    return y
+    """Exact floor(sqrt(v)) for int64 0 <= v < 2^52, in one float pass.
 
+    float64 holds such a v exactly. With k = isqrt(v) < 2^26, v <= (k + 1)^2 - 1,
+    so (k + 1) - sqrt(v) >= 1 / (k + 1 + sqrt((k + 1)^2 - 1)) > 1 / (2 (k + 1))
+    >= 2^-27, more than half an ulp (at most 2^-28) of the floats just below
+    k + 1 <= 2^26. So the correctly rounded np.sqrt lies in [k, k + 1) and
+    truncates to k."""
+    return np.sqrt(v.astype(np.float64)).astype(np.int64)
+
+
+# _floorsqrt_vec is exact below this threshold
+_MAX_T2 = 1 << 52
 
 # cells per dim-3 row block, so that no temporary grows with the radius
 _BLOCK_CELLS = 1 << 15
@@ -81,9 +90,14 @@ def _count_le_int(t2: int, dim: int) -> int:
 
     Only the quadrant of the leading coordinates x >= 1 (dim 2) or
     x, y >= 0 (dim 3) is visited; each row or cell stands for its sign
-    images, and the last coordinate contributes 2 floor(sqrt(rest)) + 1."""
+    images, and the last coordinate contributes 2 floor(sqrt(rest)) + 1.
+    A dim-3 row block starting at x0 spans the isqrt(t2 - x0^2) + 1 columns
+    y that can hold a point. Raises CapacityError for t2 >= 2^52, past
+    which the one-pass root is not proven exact."""
     if t2 < 0:
         return 0
+    if t2 >= _MAX_T2:
+        raise CapacityError(f"threshold {t2} exceeds the exact-root limit 2^52")
     top = math.isqrt(t2)
     if dim == 2:
         xs = np.arange(1, top + 1, dtype=np.int64)
@@ -94,9 +108,10 @@ def _count_le_int(t2: int, dim: int) -> int:
     rows = max(1, _BLOCK_CELLS // (top + 1))
     total = 0
     for x0 in range(0, top + 1, rows):
-        rest = t2 - sq[x0 : x0 + rows, None] - sq[None, :]
+        cols = math.isqrt(t2 - x0 * x0) + 1
+        rest = t2 - sq[x0 : x0 + rows, None] - sq[None, :cols]
         cells = np.where(rest >= 0, 2 * _floorsqrt_vec(np.maximum(rest, 0)) + 1, 0)
-        total += int(weight[x0 : x0 + rows] @ (cells @ weight))
+        total += int(weight[x0 : x0 + rows] @ (cells @ weight[:cols]))
     return total
 
 

@@ -31,6 +31,8 @@ from incidence_lab.incidence import (
     _annulus_brute,
     _annulus_classes,
     _annulus_grid,
+    _band_count,
+    _band_limits,
     _brute_valtr_cap_counts,
     _grid_runs,
     _map_upper_tiles,
@@ -399,6 +401,31 @@ def random_product_set(rng, dim):
         dens.append(den)
         axes.append(sorted(rng.sample(range(-den, den + 1), rng.randint(1, 5 if dim == 2 else 4))))
     return PointSet(dim=dim, denominators=tuple(dens), axes=tuple(axes))
+
+
+class TestBandLimits:
+    """The Euclidean band is decided on r^2 against two float limits; that
+    must be the float64 decision on sqrt(r^2) at every r^2."""
+
+    @staticmethod
+    def near(x, ulps=6):
+        bits = np.float64(x).view(np.int64) + np.arange(-ulps, ulps + 1)
+        return np.clip(bits, 0, np.float64(np.inf).view(np.int64)).view(np.float64)
+
+    def test_matches_sqrt_decision(self):
+        rng = np.random.default_rng(5)
+        ts = [1.0, 0.5, 1e-150, 1e150, *(10.0 ** rng.uniform(-3, 3, 4))]
+        epss = [0.0, 0.05, 1e-9, float(rng.uniform(0, 1))]
+        g = Gauge(EUCLIDEAN, 2)
+        for t in ts:
+            for eps in epss:
+                lo, hi = _band_limits(g, t, eps)
+                r2 = np.concatenate([[0.0, np.inf], *(self.near(x) for x in (lo, hi, t * t, (t + eps) ** 2))])
+                v = np.sqrt(r2)
+                want = (v >= t) & (v <= t + eps)
+                assert np.array_equal((r2 >= lo) & (r2 <= hi), want), (t, eps)
+                assert _band_count(g, r2, None, (lo, hi)) == want.sum()
+                assert want[np.isin(r2, (lo, hi))].all() and not want[1]
 
 
 class TestPairR2:

@@ -13,7 +13,7 @@ from incidence_lab import (
     lattice_incidence_total,
     shell_count,
 )
-from incidence_lab.latticecount import _count_le_int
+from incidence_lab.latticecount import _BLOCK_CELLS, _MAX_RADIUS, _count_le_int, _floorsqrt_vec
 
 
 def brute_ball_exact(dim, threshold: Fraction):
@@ -91,6 +91,38 @@ class TestCountLeInt:
     def test_negative_threshold(self):
         assert _count_le_int(-1, 2) == 0
         assert _count_le_int(-1, 3) == 0
+
+    def test_dim3_trimmed_block_edges(self):
+        # a row block starting at x0 spans isqrt(t2 - x0^2) + 1 columns;
+        # t2 = x0^2 + y^2 puts the block's last column on the sphere, and
+        # t2 - 1 drops it
+        thresholds = []
+        for top in (200, 300):
+            rows = _BLOCK_CELLS // (top + 1)
+            for x0 in range(rows, top + 1, rows):
+                ys = [y for y in range(top + 1) if top * top <= x0 * x0 + y * y < (top + 1) ** 2]
+                thresholds += [x0 * x0 + y * y - e for y in ys[:1] + ys[-1:] for e in (0, 1)]
+        assert len(thresholds) >= 8
+        for t2 in thresholds:
+            top = math.isqrt(t2)
+            assert _count_le_int(t2, 3) == sum(disk_rows(t2 - x * x) for x in range(-top, top + 1))
+
+    def test_threshold_limit(self):
+        # the one-pass root is proven exact below 2^52, which both radius
+        # limits stay under
+        assert max(_MAX_RADIUS.values()) ** 2 < 2**52
+        for dim in (2, 3):
+            with pytest.raises(CapacityError):
+                _count_le_int(2**52, dim)
+
+
+class TestFloorSqrt:
+    def test_matches_isqrt_around_squares(self):
+        ks = [k for j in range(1, 27) for k in (2**j - 1, 2**j + 1) if k < 2**26]
+        ks += [int(r) for r in _MAX_RADIUS.values()]
+        v = np.array([k * k + e for k in ks for e in (-1, 0, 1)], dtype=np.int64)
+        assert v.max() < 2**52
+        assert _floorsqrt_vec(v).tolist() == [math.isqrt(int(x)) for x in v]
 
 
 class TestLatticeCountReport:
