@@ -46,8 +46,7 @@ _EXPORTS = {
         "gauge": ("EUCLIDEAN", "PARABOLOID_BODY", "Gauge", "gauge_value", "gauge_values", "on_surface_exact"),
         "incidence": ("ALL_CAPS", "FalconerRatio", "IncidenceReport", "annulus_incidences",
                       "exact_valtr_incidences", "falconer_measure_ratio"),
-        "energy": ("EnergyReport", "MonteCarloEstimate", "adaptability_sum", "cube_self_energy",
-                   "energy_decomposition"),
+        "energy": ("EnergyReport", "adaptability_sum", "cube_self_energy", "energy_decomposition"),
         "latticecount": ("LatticeCountReport", "LatticeIncidenceTotal", "ball_count",
                          "lattice_incidence_total", "shell_count"),
         "ffield": ("FFSet", "FFSpectrum", "ff_fourier", "ff_pair_count", "ff_paraboloid", "ff_sphere",

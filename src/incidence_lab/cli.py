@@ -2,9 +2,10 @@
 
 Usage: incidence-lab <gen|gauge|incidence|energy|gauss|ffield|scan> [flags]
 
-Every subcommand accepts --seed, --threads, --format and --out. Output is
-deterministic for a fixed seed and thread configuration. Exit codes: 0 on
-success, 2 when a scan verdict fails, 1 on any error.
+Every subcommand accepts --seed, --threads, --format and --out. No command
+draws random numbers: --seed is only recorded in the output, and output is
+byte-identical across reruns with the same flags. Exit codes: 0 on success, 2
+when a scan verdict fails, 1 on any error.
 
 Layer loading: the layers are referred to as modules of the package, which
 registers them unrun, so a subcommand runs only the layers it calls. gen
@@ -179,20 +180,17 @@ def _cmd_energy(args) -> int:
     if args.decompose:
         if args.n is None or args.d is None:
             raise ParameterError("--decompose needs --n and --d")
-        rep = energy.energy_decomposition(args.n, args.d, args.s, samples=args.samples, seed=args.seed)
+        rep = energy.energy_decomposition(args.n, args.d, args.s)
         gen_name, params = "valtr", _params_string(args)
     elif args.cube_constant:
         if args.d is None:
             raise ParameterError("--cube-constant needs --d")
-        est = energy.cube_self_energy(args.d, args.s, samples=args.samples, seed=args.seed)
         record = {
             "generator": "cube",
             "params": f"d={args.d}",
             "s": args.s,
-            "value": est.value,
-            "stderr": est.stderr,
-            "samples": est.samples,
-            "seed": est.seed,
+            "value": energy.cube_self_energy(args.d, args.s),
+            "seed": args.seed,
         }
         _emit_record(record, args, csv_header=list(record))
         return 0
@@ -317,7 +315,7 @@ def _cmd_scan(args) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser, default_format: str) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="random seed (recorded in output)")
+    sub.add_argument("--seed", type=int, default=0, help="recorded in output; no command draws random numbers")
     sub.add_argument("--threads", type=int, default=1, help="worker threads for pair loops")
     sub.add_argument("--format", default=default_format, choices=["csv", "json", "gnuplot"])
     sub.add_argument("--out", default=None, help="write output to FILE instead of stdout")
@@ -369,8 +367,8 @@ def _build_parser() -> _Parser:
     _add_generator_flags(p)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--decompose", action="store_true", help="self/cross split on the Valtr set")
-    p.add_argument("--cube-constant", action="store_true", help="Monte Carlo cube self-energy")
-    p.add_argument("--samples", type=int, default=200_000)
+    p.add_argument("--cube-constant", action="store_true", help="unit-cube self-energy C(d, s)")
+    p.add_argument("--samples", type=int, default=None, help="accepted; has no effect")
     _add_common(p, "csv")
     p.set_defaults(func=_cmd_energy)
 

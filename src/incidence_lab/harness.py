@@ -259,30 +259,30 @@ def run_experiment(
         raise ParameterError("ladder needs at least 3 rungs")
     if threads < 1:
         raise ParameterError("threads must be >= 1")
+    tol = DEFAULT_TOLERANCE if tolerance is None else float(tolerance)
+    if not 0.0 <= tol < math.inf:
+        raise ParameterError(f"tolerance must be finite and nonnegative, got {tol!r}")
     if experiment == "valtr-incidence":
-        out = _run_valtr_incidence(d or 2, ladder)
+        out = _run_valtr_incidence(2 if d is None else d, ladder)
     elif experiment == "falconer-ratio":
-        out = _run_falconer_ratio(d or 2, s, ladder)
+        out = _run_falconer_ratio(2 if d is None else d, s, ladder)
     elif experiment == "lenz-energy":
         out = _run_lenz_energy(1.5 if s is None else s, ladder, threads)
     elif experiment == "valtr-energy":
-        out = _run_valtr_energy(d or 2, 1.2 if s is None else s, ladder)
+        out = _run_valtr_energy(2 if d is None else d, 1.2 if s is None else s, ladder)
     elif experiment == "mattila2-incidence":
         out = _run_mattila_incidence(2, 0.48 if alpha is None else alpha, ladder)
     elif experiment == "mattila3-incidence":
         out = _run_mattila_incidence(3, 1.0 / 15.0 if delta is None else delta, ladder)
     elif experiment == "lattice-incidence":
-        out = _run_lattice_incidence(dim or 2, s, ladder)
+        out = _run_lattice_incidence(2 if dim is None else dim, s, ladder)
     elif experiment == "gauss-discrepancy":
-        out = _run_gauss_discrepancy(dim or 2, ladder)
+        out = _run_gauss_discrepancy(2 if dim is None else dim, ladder)
     elif experiment == "ff-sharpness":
-        out = _run_ff_sharpness(0.1 if delta is None else delta, d or 2, ladder)
+        out = _run_ff_sharpness(0.1 if delta is None else delta, 2 if d is None else d, ladder)
     else:
         raise ParameterError(f"unknown experiment {experiment!r}; known: {', '.join(EXPERIMENTS)}")
     points, predicted, comparison, extra = out
-    tol = DEFAULT_TOLERANCE if tolerance is None else float(tolerance)
-    if tol < 0:
-        raise ParameterError("tolerance must be nonnegative")
     slope, stderr = fit_exponent(points)
     if comparison == TWO_SIDED:
         ok = abs(slope - predicted) <= tol

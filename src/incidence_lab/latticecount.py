@@ -55,16 +55,16 @@ class LatticeIncidenceTotal:
     valid: bool
 
 
-def _as_fraction(x) -> Fraction:
+def _as_fraction(x, name: str) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
         if not math.isfinite(x):
-            raise ParameterError(f"radius must be finite, got {x!r}")
+            raise ParameterError(f"{name} must be finite, got {x!r}")
         return Fraction(x)
-    raise ParameterError(f"expected int, float or Fraction, got {type(x).__name__}")
+    raise ParameterError(f"{name} must be an int, float or Fraction, got {type(x).__name__}")
 
 
 def _floorsqrt_vec(v: np.ndarray) -> np.ndarray:
@@ -120,7 +120,7 @@ def ball_count(dim: int, R) -> LatticeCountReport:
     against the ball volume."""
     if dim not in (2, 3):
         raise ParameterError(f"dim must be 2 or 3, got {dim!r}")
-    r_frac = _as_fraction(R)
+    r_frac = _as_fraction(R, "R")
     if r_frac < 0:
         raise ParameterError(f"R must be nonnegative, got {R!r}")
     if float(r_frac) > _MAX_RADIUS[dim]:
@@ -136,8 +136,8 @@ def shell_count(dim: int, R, w, include_inner_boundary: bool = True) -> int:
     c(R + w) - c(R)."""
     if dim not in (2, 3):
         raise ParameterError(f"dim must be 2 or 3, got {dim!r}")
-    r_frac = _as_fraction(R)
-    w_frac = _as_fraction(w)
+    r_frac = _as_fraction(R, "R")
+    w_frac = _as_fraction(w, "w")
     if r_frac <= 0:
         raise ParameterError(f"R must be positive, got {R!r}")
     if w_frac < 0:

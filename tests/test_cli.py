@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from incidence_lab import adaptability_sum, annulus_incidences, gen_lenz, gen_mattila2
+from incidence_lab import adaptability_sum, annulus_incidences, cube_self_energy, gen_lenz, gen_mattila2
 from incidence_lab import EUCLIDEAN, EXPERIMENTS, Gauge
 from incidence_lab.cli import main
 
@@ -103,7 +103,30 @@ class TestEnergy:
                            "--format", "json")
         obj = json.loads(out)
         assert code == 0
-        assert obj["self_term"] is not None and obj["cross_term"] is not None
+        assert obj["self_term"] == cube_self_energy(2, 1.4) and obj["cross_term"] is not None
+
+    def test_decompose_ignores_seed(self, capsys):
+        argv = ["energy", "--generator", "valtr", "--n", "3", "--d", "2", "--s", "1.4", "--decompose"]
+        (code1, out1, _), (code2, out2, _) = (run(capsys, *argv, "--seed", seed) for seed in ("1", "2"))
+        assert code1 == code2 == 0
+        # the seed is the last column of the one data row
+        rest1, seed1 = out1.rstrip("\n").rsplit(",", 1)
+        rest2, seed2 = out2.rstrip("\n").rsplit(",", 1)
+        assert (rest1, seed1, seed2) == (rest2, "1", "2")
+
+    def test_cube_constant(self, capsys):
+        code, out, _ = run(capsys, "energy", "--d", "3", "--s", "1.6", "--cube-constant")
+        assert code == 0
+        header, row = out.splitlines()
+        assert header == "generator,params,s,value,seed"
+        assert row.split(",")[:3] == ["cube", "d=3", "1.6"]
+        assert float(row.split(",")[3]) == cube_self_energy(3, 1.6)
+
+    def test_samples_has_no_effect(self, capsys):
+        base = ["energy", "--d", "2", "--s", "1.4", "--cube-constant"]
+        code, out, _ = run(capsys, *base, "--samples", "100")
+        assert code == 0
+        assert out == run(capsys, *base)[1]
 
 
 class TestGauss:
@@ -235,6 +258,20 @@ class TestScan:
         assert code == 0
         for name in EXPERIMENTS:
             assert name in out
+
+    @pytest.mark.parametrize("flags", [["--experiment", "lattice-incidence", "--dim", "0", "--ladder", "4,5,6"],
+                                       ["--experiment", "falconer-ratio", "--d", "0", "--ladder", "4,8,16"]])
+    def test_zero_dimension_exit1(self, capsys, flags):
+        code, out, err = run(capsys, "scan", *flags)
+        assert (code, out) == (1, "")
+        assert "got 0" in err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_bad_tolerance_exit1(self, capsys, tolerance):
+        code, out, err = run(capsys, "scan", "--experiment", "valtr-incidence", "--d", "2",
+                             "--ladder", "4,8,16", "--tolerance", tolerance, "--format", "csv")
+        assert (code, out) == (1, "")
+        assert "tolerance must be finite and nonnegative" in err
 
     def test_unknown_experiment_exit1(self, capsys):
         code, _, err = run(capsys, "scan", "--experiment", "nope")

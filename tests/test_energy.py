@@ -21,10 +21,46 @@ from incidence_lab import (
 )
 from incidence_lab.energy import _brute_pair_sum, _grouped_pair_sum, ball_bound_constant
 
-# high-sample quadrature oracle for the unit-square inverse-distance self
-# energy, computed once with scipy.integrate.dblquad (abs err < 1e-11):
-# C(2, 1) = 4 * int_0^1 int_0^1 (1-u)(1-v)/sqrt(u^2+v^2) du dv
+# the unit-square inverse-distance self energy
+# C(2, 1) = 4 * int_0^1 int_0^1 (1-u)(1-v)/sqrt(u^2+v^2) du dv, computed once
+# with scipy.integrate.dblquad (abs err < 1e-11), and in closed form
 CUBE_ENERGY_2D_S1 = 2.973209598247
+CUBE_ENERGY_2D_S1_CLOSED = 4 * math.log(1 + math.sqrt(2)) - 4 / 3 * (math.sqrt(2) - 1)
+
+
+def monte_carlo_cube_energy(d, s, samples, seed):
+    """Independent oracle for C(d, s): the mean of |x - y|^-s over uniform
+    pairs of the unit cube, and its standard error. The standard error bounds
+    the error only for s < d/2, where |x - y|^-2s has a finite mean."""
+    rng = np.random.default_rng(seed)
+    r = np.sqrt(((rng.random((samples, d)) - rng.random((samples, d))) ** 2).sum(axis=1))
+    vals = r**-s
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
+
+
+def trapezoid_cube_energy(d, s, h, cut):
+    """A second quadrature of C(d, s) = 2^d Gamma(s/2)^-1 int u^(s/2) phi(u)^d dx
+    in x = ln u: the trapezoid rule at step h, phi exact on [-cut, cut] and its
+    limit past each end (1/2 below, sqrt(pi)/(2 sqrt(u)) - 1/(2u) above), the
+    points summed outward until they fall below 1e-20 of the middle one."""
+
+    def point(x):
+        if x < -cut:
+            log_phi = math.log(0.5)
+        elif x > cut:  # in logs, so that u = e^x is never formed
+            log_phi = math.log(math.sqrt(math.pi) / 2) - x / 2 + math.log1p(-math.exp(-x / 2) / math.sqrt(math.pi))
+        else:
+            u = math.exp(x)
+            log_phi = math.log(math.sqrt(math.pi / u) * math.erf(math.sqrt(u)) / 2 + math.expm1(-u) / (2 * u))
+        return math.exp(s * x / 2 + d * log_phi)
+
+    terms = [point(0.0)]
+    for sign in (-1, 1):
+        i = 1
+        while i * h <= cut or terms[-1] > 1e-20 * terms[0]:
+            terms.append(point(sign * i * h))
+            i += 1
+    return 2**d * h * math.fsum(terms) / math.gamma(s / 2)
 
 
 def strip_axes(pset):
@@ -202,53 +238,69 @@ class TestAdaptabilitySum:
 
 class TestCubeSelfEnergy:
     def test_s0_is_one(self):
-        est = cube_self_energy(1, 0.0, seed=3)
-        assert est.value == 1.0
-        assert est.stderr == 0.0
+        assert cube_self_energy(1, 0.0) == 1.0
+        assert cube_self_energy(3, 0.0) == 1.0
+        # C = 1 + O(s) before Gamma(s/2) overflows, and no tail sum divides by zero
+        assert cube_self_energy(2, 1e-310) == cube_self_energy(2, 5e-324) == 1.0
+        assert cube_self_energy(2, 1e-299) == pytest.approx(1.0, rel=1e-15)
 
     def test_1d_closed_form(self):
-        # C(1, s) = 2 / ((1-s)(2-s))
-        for s in (0.25, 0.5, 0.75):
-            est = cube_self_energy(1, s, samples=400_000, seed=11)
+        # C(1, s) = 2 / ((1-s)(2-s)); near s = 1 the upper tail carries most of it
+        for s in (0.01, 0.3, 0.5, 0.9, 0.99):
             closed = 2.0 / ((1.0 - s) * (2.0 - s))
-            assert abs(est.value - closed) < 3.0 * est.stderr + 1e-12
+            assert cube_self_energy(1, s) == pytest.approx(closed, rel=1e-12, abs=0)
 
     def test_2d_quadrature_oracle(self):
-        est = cube_self_energy(2, 1.0, samples=400_000, seed=12)
-        assert abs(est.value - CUBE_ENERGY_2D_S1) < 3.0 * est.stderr
+        value = cube_self_energy(2, 1.0)
+        assert value == pytest.approx(CUBE_ENERGY_2D_S1_CLOSED, rel=1e-12, abs=0)
+        assert abs(value - CUBE_ENERGY_2D_S1) < 1e-11
 
-    def test_deterministic_given_seed(self):
-        a = cube_self_energy(2, 1.0, seed=5)
-        b = cube_self_energy(2, 1.0, seed=5)
-        assert a == b
+    @pytest.mark.parametrize("d, s", [(2, 1.4), (3, 1.6), (4, 2.2), (5, 2.7), (6, 3.2)])
+    def test_halved_step_doubled_range(self, d, s):
+        # the falconer-ratio default s at each d
+        value = cube_self_energy(d, s)
+        assert value == pytest.approx(trapezoid_cube_energy(d, s, 0.05, 80.0), rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("d, s, seed", [(2, 0.8, 31), (3, 1.2, 32), (4, 1.8, 33)])
+    def test_monte_carlo_oracle(self, d, s, seed):
+        # s < d/2, where the oracle's variance is finite and its standard error means something
+        mean, stderr = monte_carlo_cube_energy(d, s, 400_000, seed)
+        assert abs(cube_self_energy(d, s) - mean) < 4 * stderr
+
+    def test_deterministic(self):
+        value = cube_self_energy(2, 1.4)
+        assert type(value) is float
+        assert cube_self_energy(2, 1.4) == value
 
     def test_errors(self):
         with pytest.raises(DivergenceError):
             cube_self_energy(2, 2.0)
-        with pytest.raises(ParameterError):
-            cube_self_energy(2, 1.0, samples=100)
+        for d, s in [(0, 0.5), (2, -0.1), (2, math.nan), (2, math.inf)]:
+            with pytest.raises(ParameterError):
+                cube_self_energy(d, s)
 
     def test_ball_bound_dominates_cube_constant(self):
         # the sqrt(d)-ball integral is an upper bound, not an equality
-        for d, s in [(1, 0.5), (2, 1.0), (2, 1.4), (3, 1.9)]:
-            est = cube_self_energy(d, s, samples=100_000, seed=21)
-            assert est.value + 3 * est.stderr < ball_bound_constant(d, s)
+        # at d = 40 the samples of u^(s/2) alone would overflow
+        for d, s in [(1, 0.5), (2, 1.0), (2, 1.4), (3, 1.9), (6, 3.2), (40, 39.0)]:
+            assert 0 < cube_self_energy(d, s) < ball_bound_constant(d, s)
         with pytest.raises(DivergenceError):
             ball_bound_constant(2, 2.0)
 
 
 class TestEnergyDecomposition:
     def test_cross_term_is_adaptability_sum(self):
-        rep = energy_decomposition(2, 2, 1.4, seed=0)
+        rep = energy_decomposition(2, 2, 1.4)
         assert rep.cross_term == adaptability_sum(gen_valtr(2, 2), 1.4).lambda_s
+        assert rep.self_term == cube_self_energy(2, 1.4)
         assert rep.lambda_s == rep.self_term + rep.cross_term
 
     def test_cross_term_bounded_2d(self):
-        vals = [energy_decomposition(n, 2, 1.4, seed=0).cross_term for n in (4, 8, 16)]
+        vals = [energy_decomposition(n, 2, 1.4).cross_term for n in (4, 8, 16)]
         assert max(vals) / min(vals) < 3.0
 
     def test_cross_term_bounded_3d(self):
-        vals = [energy_decomposition(n, 3, 1.9, seed=0).cross_term for n in (3, 6, 12)]
+        vals = [energy_decomposition(n, 3, 1.9).cross_term for n in (3, 6, 12)]
         assert max(vals) / min(vals) < 3.0
 
     def test_parameter_errors(self):

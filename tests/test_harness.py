@@ -64,6 +64,29 @@ class TestRunExperiment:
         with pytest.raises(ParameterError, match="threads"):
             run_experiment(experiment, threads=0)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1.0])
+    def test_tolerance_outside_zero_to_inf_rejected(self, tolerance):
+        with pytest.raises(ParameterError, match="tolerance"):
+            run_experiment("valtr-incidence", d=2, ladder=[4, 8, 16], tolerance=tolerance)
+
+    def test_zero_tolerance_accepted(self):
+        series = run_experiment("valtr-incidence", d=2, ladder=[4, 8, 16], tolerance=0)
+        assert series.tolerance == 0.0
+        assert series.verdict == "fail"
+
+    @pytest.mark.parametrize("experiment, kwargs", [
+        ("valtr-incidence", {"d": 0, "ladder": [4, 5, 6]}),
+        ("falconer-ratio", {"d": 0, "ladder": [4, 5, 6]}),
+        ("valtr-energy", {"d": 0, "ladder": [4, 5, 6]}),
+        ("ff-sharpness", {"d": 0, "ladder": [101, 211, 401]}),
+        ("lattice-incidence", {"dim": 0, "ladder": [4, 5, 6]}),
+        ("gauss-discrepancy", {"dim": 0, "ladder": [64, 128, 256]}),
+    ])
+    def test_explicit_zero_dimension_refused(self, experiment, kwargs):
+        # an explicit 0 reaches the runner's own check instead of the default 2
+        with pytest.raises(ParameterError, match="got 0"):
+            run_experiment(experiment, **kwargs)
+
     def test_deterministic(self):
         a = run_experiment("lenz-energy", s=1.5, ladder=[64, 128, 256])
         b = run_experiment("lenz-energy", s=1.5, ladder=[64, 128, 256])

@@ -181,6 +181,10 @@ class TestShellCount:
             shell_count(2, 0, 1)
         with pytest.raises(ParameterError):
             shell_count(2, 1, -0.5)
+        with pytest.raises(ParameterError, match="^w must be finite"):
+            shell_count(2, 10, math.nan)
+        with pytest.raises(ParameterError, match="^R must be finite"):
+            shell_count(2, math.inf, 1)
 
 
 class TestLatticeIncidenceTotal:

@@ -4,6 +4,7 @@ its layer's object, and a process loads only the layers it touches."""
 import importlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -19,8 +20,7 @@ PUBLIC = {
     "gauge": ["EUCLIDEAN", "PARABOLOID_BODY", "Gauge", "gauge_value", "gauge_values", "on_surface_exact"],
     "incidence": ["ALL_CAPS", "FalconerRatio", "IncidenceReport", "annulus_incidences",
                   "exact_valtr_incidences", "falconer_measure_ratio"],
-    "energy": ["EnergyReport", "MonteCarloEstimate", "adaptability_sum", "cube_self_energy",
-               "energy_decomposition"],
+    "energy": ["EnergyReport", "adaptability_sum", "cube_self_energy", "energy_decomposition"],
     "latticecount": ["LatticeCountReport", "LatticeIncidenceTotal", "ball_count", "lattice_incidence_total",
                      "shell_count"],
     "ffield": ["FFSet", "FFSpectrum", "ff_fourier", "ff_pair_count", "ff_paraboloid", "ff_sphere", "is_prime",
@@ -70,6 +70,15 @@ class TestNamespace:
 
     def test_unknown_name_raises_attribute_error(self):
         assert not hasattr(incidence_lab, "no_such_name")
+
+    def test_no_random_number_generator(self):
+        # every printed number is a function of the flags; --seed is only recorded
+        sources = sorted(pathlib.Path(SRC, "incidence_lab").glob("*.py"))
+        assert sources
+        for path in sources:
+            text = path.read_text()
+            for token in ("np.random", "numpy.random", "import random", "from random", "default_rng"):
+                assert token not in text, f"{path.name} uses {token}"
 
 
 class TestLazyLoading:
