@@ -23,8 +23,10 @@ from .errors import (
 
 __version__ = "0.1.0"
 
-# The experiments that harness.run_experiment knows, in registry order. They
-# live here so that the CLI can offer them as choices without running harness.
+# The experiments that harness.run_experiment knows, in registry order: the
+# one list of their names. Each name runs as harness._run_<name> ("-" read as
+# "_"), whose signature declares the experiment's parameters. They live here
+# so that the CLI can offer them as choices without running harness.
 EXPERIMENTS = (
     "valtr-incidence",
     "falconer-ratio",

@@ -19,6 +19,7 @@ EXPERIMENTS registry, so --help and argument errors run no layer.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -65,25 +66,15 @@ def _emit_record(record: dict, args, csv_header: list[str] | None = None) -> Non
 
 
 def _build_pointset(args) -> pointsets.PointSet:
-    gen = args.generator
-    if gen is None:
+    if args.generator is None:
         raise ParameterError("--generator is required")
-    if gen == "valtr":
-        _require(args, "n", "d")
-        return pointsets.gen_valtr(args.n, args.d)
-    if gen == "lenz":
-        _require(args, "N")
-        return pointsets.gen_lenz(args.N)
-    if gen == "lattice":
-        _require(args, "k", "d")
-        return pointsets.gen_lattice(args.k, args.d)
-    if gen == "mattila2":
-        _require(args, "alpha", "levels")
-        return pointsets.gen_mattila2(args.alpha, args.levels)
-    if gen == "mattila3":
-        _require(args, "delta", "levels")
-        return pointsets.gen_mattila3(args.delta, args.levels)
-    raise ParameterError(f"unknown generator {gen!r}")
+    # gen_<generator>, called with the flags its signature names
+    gen = getattr(pointsets, f"gen_{args.generator}", None)
+    if gen is None:
+        raise ParameterError(f"unknown generator {args.generator!r}")
+    names = list(inspect.signature(gen).parameters)
+    _require(args, *names)
+    return gen(**{name: getattr(args, name) for name in names})
 
 
 def _require(args, *names) -> None:
@@ -298,17 +289,10 @@ def _cmd_ffield(args) -> int:
 
 def _cmd_scan(args) -> int:
     ladder = [int(tok) for tok in args.ladder.split(",")] if args.ladder else None
+    # run_experiment drops the flags not given and refuses those the experiment does not take
+    params = {name: getattr(args, name) for name in ("d", "dim", "s", "alpha", "delta")}
     series = harness.run_experiment(
-        args.experiment,
-        d=args.d,
-        s=args.s,
-        alpha=args.alpha,
-        delta=args.delta,
-        dim=args.dim,
-        ladder=ladder,
-        tolerance=args.tolerance,
-        seed=args.seed,
-        threads=args.threads,
+        args.experiment, ladder=ladder, tolerance=args.tolerance, seed=args.seed, threads=args.threads, **params
     )
     _write(harness.emit(series, args.format), args)
     return 0 if series.verdict == "pass" else 2

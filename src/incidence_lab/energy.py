@@ -13,6 +13,7 @@ added exactly and doubled, so results are bit-identical for any thread count.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,7 +99,10 @@ def cube_self_energy(d: int, s: float) -> float:
     C = 2^d Gamma(s/2)^-1 int_0^inf u^(s/2-1) phi(u)^d du, phi(u) = int_0^1 (1-z) e^(-u z^2) dz.
     The trapezoid rule in x = ln u samples [-40, 40] at step 0.1. Beyond it phi is 1/2 below
     and sqrt(pi)/(2 sqrt(u)) - 1/(2u) above to double precision, so each tail, expanded
-    binomially, is a sum of exact geometric series."""
+    binomially, is a sum of exact geometric series. A (d, s) whose terms leave float range
+    raises ParameterError: 2^d and the binomials overflow from d = 1024, Gamma(s/2) above
+    s = 343, and the sum of the terms, about C Gamma(s/2) 2^-d, falls below the normal floats
+    at large d and s."""
     if not (isinstance(d, int) and d >= 1):
         raise ParameterError(f"d must be a positive integer, got {d!r}")
     if not (0.0 <= s and math.isfinite(s)):
@@ -117,9 +121,16 @@ def cube_self_energy(d: int, s: float) -> float:
         u = math.exp(x)
         phi = math.sqrt(math.pi) * math.erf(math.sqrt(u)) / (2 * math.sqrt(u)) + math.expm1(-u) / (2 * u)
         terms.append(math.exp(s * x / 2 + d * math.log(phi)))  # u^(s/2) phi^d, free of overflow
-    terms += [math.comb(d, m) * (math.sqrt(math.pi) / 2) ** (d - m) * (-0.5) ** m * tail((s - d - m) / 2)
-              for m in range(d + 1)]
-    return 2**d * h * math.fsum(terms) / math.gamma(s / 2)
+    try:
+        terms += [math.comb(d, m) * (math.sqrt(math.pi) / 2) ** (d - m) * (-0.5) ** m * tail((s - d - m) / 2)
+                  for m in range(d + 1)]
+        total = math.fsum(terms)
+        value = 2**d * h * total / math.gamma(s / 2)
+    except OverflowError:
+        total = 0.0
+    if not total >= sys.float_info.min:  # a term overflowed, or their sum is not a normal float
+        raise ParameterError(f"C(d={d}, s={s}) has terms outside float range")
+    return value
 
 
 def ball_bound_constant(d: int, s: float) -> float:
@@ -130,8 +141,11 @@ def ball_bound_constant(d: int, s: float) -> float:
         raise ParameterError(f"d must be a positive integer, got {d!r}")
     if s >= d:
         raise DivergenceError(f"ball bound diverges for s >= d")
-    sphere_area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-    return sphere_area * d ** ((d - s) / 2.0) / (d - s)
+    try:
+        sphere_area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+        return sphere_area * d ** ((d - s) / 2.0) / (d - s)
+    except OverflowError:
+        raise ParameterError(f"the ball bound at d={d}, s={s} leaves float range") from None
 
 
 def energy_decomposition(n: int, d: int, s: float) -> EnergyReport:

@@ -1,12 +1,17 @@
 """Scaling experiments: run a counter over a size ladder, fit the log-log
 exponent, and compare it against the predicted one.
 
+Each name in ``EXPERIMENTS`` runs as ``_run_<name>(ladder, **params)``, ``-``
+read as ``_``. Its signature alone declares the experiment's parameters and
+their defaults; ``run_experiment`` refuses any parameter it does not name.
+
 Every experiment is deterministic given its parameters; the seed and thread
 count are recorded in the output so runs can be reproduced byte for byte.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -139,77 +144,75 @@ def _default_ladder(ladder, defaults: dict, key: str, value: int):
     return defaults[value] if ladder is None else ladder
 
 
-def _run_valtr_incidence(d, ladder):
+def _run_valtr_incidence(ladder, d=2):
     ladder = _default_ladder(ladder, {2: [8, 16, 32, 64], 3: [4, 8, 16], 4: [3, 4, 6, 8]}, "d", d)
     pts = [(n ** (d + 1), float(incidence.exact_valtr_incidences(n, d).count)) for n in ladder]
     return pts, 2.0 - 2.0 / (d + 1), TWO_SIDED, {"d": d, "ladder_n": ladder}
 
 
-def _run_falconer_ratio(d, s, ladder):
+def _run_falconer_ratio(ladder, d=2, s=None):
     # below n = 64 at d = 2 the decaying near-miss share masks the growth;
     # at d = 4, 5, 6 the ladders start above n = 13, 23, 41
     ladders = {2: [64, 128, 256, 512], 3: [4, 8, 16], 4: [16, 32, 64, 128], 5: [24, 32, 48, 64], 6: [42, 48, 56, 64]}
     ladder = _default_ladder(ladder, ladders, "d", d)
     # s must lie in [d/2, (d+1)/2)
     s = {2: 1.4, 3: 1.6}.get(d, (d + 1) / 2 - 0.3) if s is None else s
-    pts = []
-    for n in ladder:
-        rec = incidence.falconer_measure_ratio(n, d, s)
-        pts.append((rec.n_points, rec.ratio))
+    recs = [incidence.falconer_measure_ratio(n, d, s) for n in ladder]
+    pts = [(rec.n_points, rec.ratio) for rec in recs]
     return pts, 1.0 / s - 2.0 / (d + 1), TWO_SIDED, {"d": d, "s": s, "ladder_n": ladder}
 
 
-def _run_lenz_energy(s, ladder, threads):
+def _run_lenz_energy(ladder, s=1.5, threads=1):
     ladder = ladder or [64, 128, 256, 512, 1024, 2048]
     pts = [(N, energy.adaptability_sum(pointsets.gen_lenz(N), s, threads=threads).lambda_s) for N in ladder]
     return pts, s - 1.0, TWO_SIDED, {"s": s, "ladder_N": ladder}
 
 
-def _run_valtr_energy(d, s, ladder):
+def _run_valtr_energy(ladder, d=2, s=1.2):
     ladder = ladder or [4, 8, 16, 32]
     pts = [(n ** (d + 1), energy.adaptability_sum(pointsets.gen_valtr(n, d), s).lambda_s) for n in ladder]
     return pts, 0.0, TWO_SIDED, {"d": d, "s": s, "ladder_n": ladder}
 
 
-def _run_mattila_incidence(dim, param, ladder):
+def _mattila_series(dim, name, param, ladder):
+    """The Mattila-type set's (size, count) ladder and its scan params."""
     ladder = ladder or [1, 2, 3, 4]
     s = _mattila_s(dim, param)
-    pts = []
-    for level in ladder:
-        n_pts, count = _mattila_count(dim, param, level, s)
-        pts.append((n_pts, float(count)))
+    pts = [_mattila_count(dim, param, level, s) for level in ladder]
     # the crossover is taken at the top rung, whose count is already known
-    cross = _crossover_report(dim, s, n_pts, count)
-    if dim == 2:
-        predicted = 1.0 + 1.0 / (2.0 * s)
-    else:
-        alpha = 1.0 - param
-        predicted = 1.0 + alpha / (2.0 * alpha + param / 2.0)
+    cross = _crossover_report(dim, s, *pts[-1])
     extra = {
-        "alpha" if dim == 2 else "delta": param,
+        name: param,
         "s": s,
         "ladder_levels": ladder,
         "crossover_mattila_wins": cross.mattila_wins,
         "crossover_predicted": cross.predicted_mattila_wins,
         "crossover_valid_window": cross.inside_validity_window,
     }
-    return pts, predicted, TWO_SIDED, extra
+    return [(n, float(count)) for n, count in pts], extra
 
 
-def _run_lattice_incidence(dim, s, ladder):
+def _run_mattila2_incidence(ladder, alpha=0.48):
+    pts, extra = _mattila_series(2, "alpha", alpha, ladder)
+    return pts, 1.0 + 1.0 / (2.0 * extra["s"]), TWO_SIDED, extra
+
+
+def _run_mattila3_incidence(ladder, delta=1.0 / 15.0):
+    pts, extra = _mattila_series(3, "delta", delta, ladder)
+    alpha = 1.0 - delta
+    return pts, 1.0 + alpha / (2.0 * alpha + delta / 2.0), TWO_SIDED, extra
+
+
+def _run_lattice_incidence(ladder, dim=2, s=None):
     ladder = _default_ladder(ladder, {2: [20, 40, 80, 160], 3: [7, 10, 13, 16]}, "dim", dim)
     # dim 3 needs s > 3/2; 1.9 = 2 - 3/2 * (1/15) is the mattila3 default
     s = (1.9 if dim == 3 else 1.48) if s is None else s
-    pts = []
-    valid = None
-    for k in ladder:
-        rec = latticecount.lattice_incidence_total(dim, k**dim, s)
-        valid = rec.valid
-        pts.append((rec.n_points, float(rec.incidences)))
-    return pts, 2.0 - 1.0 / s, TWO_SIDED, {"dim": dim, "s": s, "ladder_k": ladder, "valid": valid}
+    recs = [latticecount.lattice_incidence_total(dim, k**dim, s) for k in ladder]
+    pts = [(rec.n_points, float(rec.incidences)) for rec in recs]
+    return pts, 2.0 - 1.0 / s, TWO_SIDED, {"dim": dim, "s": s, "ladder_k": ladder, "valid": recs[-1].valid}
 
 
-def _run_gauss_discrepancy(dim, ladder):
+def _run_gauss_discrepancy(ladder, dim=2):
     ladders = {2: [64, 128, 256, 512, 1024, 2048, 4096, 8192], 3: [16, 32, 64, 128, 256, 512]}
     ladder = _default_ladder(ladder, ladders, "dim", dim)
     pts = [(R, abs(latticecount.ball_count(dim, R).discrepancy)) for R in ladder]
@@ -217,7 +220,7 @@ def _run_gauss_discrepancy(dim, ladder):
     return pts, predicted, UPPER_BOUND, {"dim": dim, "ladder_R": ladder}
 
 
-def _run_ff_sharpness(delta, d, ladder):
+def _run_ff_sharpness(ladder, delta=0.1, d=2):
     """The sharpness ratio over a prime ladder of q.
 
     At d = 4, 5, 6 the box side (d-1) q^(1-2 delta) fits below q only for
@@ -242,18 +245,15 @@ def _run_ff_sharpness(delta, d, ladder):
 def run_experiment(
     experiment: str,
     *,
-    d: int | None = None,
-    s: float | None = None,
-    alpha: float | None = None,
-    delta: float | None = None,
-    dim: int | None = None,
     ladder=None,
     tolerance: float | None = None,
     seed: int = 0,
     threads: int = 1,
+    **params,
 ) -> ScalingSeries:
     """Run a registered experiment over its ladder and return the fitted
-    series with a pass/fail verdict at the given tolerance."""
+    series with a pass/fail verdict at the given tolerance. ``params`` go
+    to the experiment's runner; a ``None`` value counts as absent."""
     ladder = list(ladder) if ladder is not None else None
     if ladder is not None and len(ladder) < 3:
         raise ParameterError("ladder needs at least 3 rungs")
@@ -262,27 +262,18 @@ def run_experiment(
     tol = DEFAULT_TOLERANCE if tolerance is None else float(tolerance)
     if not 0.0 <= tol < math.inf:
         raise ParameterError(f"tolerance must be finite and nonnegative, got {tol!r}")
-    if experiment == "valtr-incidence":
-        out = _run_valtr_incidence(2 if d is None else d, ladder)
-    elif experiment == "falconer-ratio":
-        out = _run_falconer_ratio(2 if d is None else d, s, ladder)
-    elif experiment == "lenz-energy":
-        out = _run_lenz_energy(1.5 if s is None else s, ladder, threads)
-    elif experiment == "valtr-energy":
-        out = _run_valtr_energy(2 if d is None else d, 1.2 if s is None else s, ladder)
-    elif experiment == "mattila2-incidence":
-        out = _run_mattila_incidence(2, 0.48 if alpha is None else alpha, ladder)
-    elif experiment == "mattila3-incidence":
-        out = _run_mattila_incidence(3, 1.0 / 15.0 if delta is None else delta, ladder)
-    elif experiment == "lattice-incidence":
-        out = _run_lattice_incidence(2 if dim is None else dim, s, ladder)
-    elif experiment == "gauss-discrepancy":
-        out = _run_gauss_discrepancy(2 if dim is None else dim, ladder)
-    elif experiment == "ff-sharpness":
-        out = _run_ff_sharpness(0.1 if delta is None else delta, 2 if d is None else d, ladder)
-    else:
+    if experiment not in EXPERIMENTS:
         raise ParameterError(f"unknown experiment {experiment!r}; known: {', '.join(EXPERIMENTS)}")
-    points, predicted, comparison, extra = out
+    runner = globals()["_run_" + experiment.replace("-", "_")]
+    takes = inspect.signature(runner).parameters
+    params = {name: value for name, value in params.items() if value is not None}
+    foreign = [name for name in params if name not in takes]
+    if foreign:
+        own = ", ".join(name for name in takes if name not in ("ladder", "threads"))
+        raise ParameterError(f"{experiment} does not take {', '.join(foreign)}; it takes {own}")
+    if "threads" in takes:
+        params["threads"] = threads
+    points, predicted, comparison, extra = runner(ladder, **params)
     slope, stderr = fit_exponent(points)
     if comparison == TWO_SIDED:
         ok = abs(slope - predicted) <= tol

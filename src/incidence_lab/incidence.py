@@ -50,6 +50,7 @@ _PB_INNER = math.sqrt(3.0) / 2.0
 _TILE_BYTES = 1 << 19  # one r^2 tile and its difference buffer fit in L2
 _MAX_OCCUPIED_CELLS = 20_000
 _PRUNE_PAIRS = 1 << 18  # (source cell, head) pairs per block of the grid prune
+_MIN_CELL = 2.0**-60  # a coordinate in [-1, 1] over this keeps its cell key inside int64
 _CHUNK_PAIRS = 1 << 16  # candidate pairs per chunk of the grid count
 _MAX_PRODUCT_CLASSES = 4_000_000
 _INF_BITS = 0x7FF0000000000000  # bit pattern of float64 inf
@@ -247,7 +248,8 @@ def _grid_runs(pts: np.ndarray, g: Gauge, t: float, eps: float):
     iterator of blocks of such runs against the later cells only, so that
     each unordered pair of distinct cells is decided once.
 
-    Points are bucketed into cells of side h = max(eps, t/64), and only
+    Points are bucketed into cells of side h = max(eps, t/64, 2^-60) (the
+    floor keeps the int64 keys of coordinates in [-1, 1] exact), and only
     pairs whose cells can hold a distance inside the band are kept: two
     cells whose index gaps are g_k contain points at Euclidean distance
     between h*sqrt(S_min) and h*sqrt(S_max), S_min = sum max(g_k - 1, 0)^2
@@ -269,7 +271,7 @@ def _grid_runs(pts: np.ndarray, g: Gauge, t: float, eps: float):
     later cells are the gaps max(B, 1) .. A. The later heads are pruned in
     blocks of about 2^18 (source cell, head) pairs."""
     d = pts.shape[1]
-    h = max(eps, t / 64.0)
+    h = max(eps, t / 64.0, _MIN_CELL)
     inner = t * (_PB_INNER if g.kind == PARABOLOID_BODY else 1.0)
     outer = t + eps
     # the points in lexicographic key order, each cell's points in input order

@@ -227,32 +227,23 @@ class CantorParams:
 
 def gen_cantor_centers(params: CantorParams) -> list[Fraction]:
     """Centers of the 2^levels surviving intervals, in increasing order."""
-    _check_size(2**params.levels, f"gen_cantor_centers(levels={params.levels})")
-    lam = params.ratio
-    lefts = [Fraction(0)]
-    length = Fraction(1)
-    for _ in range(params.levels):
-        offset = length * (1 - lam)
-        lefts = [a for left in lefts for a in (left, left + offset)]
-        length *= lam
-    half = length / 2
-    return [left + half for left in lefts]
-
-
-def _common_denominator_column(values: list[Fraction], den: int) -> list[int]:
-    nums = []
-    for v in values:
-        scaled = v * den
-        if scaled.denominator != 1:
-            raise InputError(f"{v} is not a multiple of 1/{den}")
-        nums.append(int(scaled))
-    return nums
+    nums, den = _cantor_axis(params)
+    return [Fraction(c, den) for c in nums]
 
 
 def _cantor_axis(params: CantorParams) -> tuple[list[int], int]:
-    """The Cantor centers as numerators over 2 * q^levels, q the ratio's denominator."""
-    den = 2 * params.ratio.denominator**params.levels
-    return _common_denominator_column(gen_cantor_centers(params), den), den
+    """The Cantor centers as integer numerators over 2 q^L, L = levels, for
+    the ratio p/q: an interval of level j has length 2 q^(L-j) p^j there, so
+    its right child starts 2 q^(L-j-1) p^j (q - p) after its left end, and a
+    center lies half the final length, p^L, after its interval's left end."""
+    levels = params.levels
+    _check_size(2**levels, f"gen_cantor_centers(levels={levels})")
+    p, q = params.ratio.numerator, params.ratio.denominator
+    lefts = [0]
+    for j in range(levels):
+        offset = 2 * q ** (levels - j - 1) * p**j * (q - p)
+        lefts = [a for left in lefts for a in (left, left + offset)]
+    return [left + p**levels for left in lefts], 2 * q**levels
 
 
 def gen_mattila2(alpha: float, levels: int) -> PointSet:

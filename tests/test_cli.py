@@ -79,6 +79,13 @@ class TestIncidence:
         assert code == 0
         assert (obj["count"], obj["method"]) == (1744, "classes")
 
+    @pytest.mark.parametrize("t", ["1e-20", "1e-300"])
+    def test_grid_at_tiny_t(self, capsys, t):
+        code, out, err = run(capsys, "incidence", "--mode", "annulus", "--generator", "lattice", "--k", "4",
+                             "--d", "2", "--t", t, "--method", "grid")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["count"] == 0
+
     def test_falconer(self, capsys):
         code, out, _ = run(capsys, "incidence", "--mode", "falconer",
                            "--n", "2", "--d", "2", "--s", "1.4")
@@ -121,6 +128,11 @@ class TestEnergy:
         assert header == "generator,params,s,value,seed"
         assert row.split(",")[:3] == ["cube", "d=3", "1.6"]
         assert float(row.split(",")[3]) == cube_self_energy(3, 1.6)
+
+    def test_cube_constant_outside_float_range_exit1(self, capsys):
+        code, out, err = run(capsys, "energy", "--d", "1100", "--s", "1", "--cube-constant")
+        assert (code, out) == (1, "")
+        assert err == "error: C(d=1100, s=1.0) has terms outside float range\n"
 
     def test_samples_has_no_effect(self, capsys):
         base = ["energy", "--d", "2", "--s", "1.4", "--cube-constant"]
@@ -272,6 +284,23 @@ class TestScan:
                              "--ladder", "4,8,16", "--tolerance", tolerance, "--format", "csv")
         assert (code, out) == (1, "")
         assert "tolerance must be finite and nonnegative" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--experiment", "gauss-discrepancy", "--d", "3"],
+        ["--experiment", "falconer-ratio", "--dim", "5"],
+        ["--experiment", "lattice-incidence", "--d", "3"],
+        ["--experiment", "valtr-incidence", "--alpha", "0.3"],
+        ["--experiment", "lenz-energy", "--delta", "0.1", "--ladder", "64,128,256"],
+        ["--experiment", "mattila2-incidence", "--s", "1.4", "--ladder", "1,2,3"],
+        ["--experiment", "mattila3-incidence", "--alpha", "0.4", "--ladder", "1,2,3"],
+        ["--experiment", "valtr-energy", "--dim", "2", "--ladder", "4,8,16"],
+        ["--experiment", "ff-sharpness", "--s", "1.2", "--ladder", "101,211,401"],
+    ])
+    def test_foreign_parameter_exit1(self, capsys, flags):
+        # a flag the experiment does not take used to be dropped, running the default
+        code, out, err = run(capsys, "scan", *flags)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {flags[1]} does not take {flags[2][2:]}; it takes ")
 
     def test_unknown_experiment_exit1(self, capsys):
         code, _, err = run(capsys, "scan", "--experiment", "nope")

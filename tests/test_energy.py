@@ -279,6 +279,23 @@ class TestCubeSelfEnergy:
             with pytest.raises(ParameterError):
                 cube_self_energy(d, s)
 
+    @pytest.mark.parametrize("d, s", [(1100, 1.0), (1024, 0.5), (500, 344.0), (1000, 50.0)])
+    def test_terms_outside_float_range_refused(self, d, s):
+        # 2^d and the binomials overflow from d = 1024 and Gamma(s/2) above
+        # s = 343; at (1000, 50) the terms underflow, and their sum read 0.0
+        with pytest.raises(ParameterError, match="outside float range"):
+            cube_self_energy(d, s)
+
+    def test_finite_just_inside_float_range(self):
+        for d, s in [(1023, 0.5), (500, 343.0), (1000, 1.4)]:
+            assert 0 < cube_self_energy(d, s) < 1
+
+    def test_ball_bound_outside_float_range_refused(self):
+        assert 0 < ball_bound_constant(256, 1.0) < math.inf
+        for d in (260, 340, 400, 2000):
+            with pytest.raises(ParameterError, match="leaves float range"):
+                ball_bound_constant(d, 1.0)
+
     def test_ball_bound_dominates_cube_constant(self):
         # the sqrt(d)-ball integral is an upper bound, not an equality
         # at d = 40 the samples of u^(s/2) alone would overflow

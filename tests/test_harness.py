@@ -1,8 +1,10 @@
+import inspect
 import json
 import math
 
 import pytest
 
+from incidence_lab import harness
 from incidence_lab import (
     EXPERIMENTS,
     InputError,
@@ -271,6 +273,63 @@ class TestDefaultLadders:
         with pytest.raises(ParameterError) as info:
             run_experiment(experiment, **kwargs)
         assert known in str(info.value)
+
+
+# each experiment's parameters and defaults, as its runner declares them
+RUNNER_PARAMS = {
+    "valtr-incidence": {"d": 2},
+    "falconer-ratio": {"d": 2, "s": None},
+    "lenz-energy": {"s": 1.5, "threads": 1},
+    "valtr-energy": {"d": 2, "s": 1.2},
+    "mattila2-incidence": {"alpha": 0.48},
+    "mattila3-incidence": {"delta": 1 / 15},
+    "lattice-incidence": {"dim": 2, "s": None},
+    "gauss-discrepancy": {"dim": 2},
+    "ff-sharpness": {"delta": 0.1, "d": 2},
+}
+SCAN_FLAGS = ("d", "dim", "s", "alpha", "delta")
+
+
+class TestDispatch:
+    def test_every_experiment_has_one_runner(self):
+        runners = {name for name in vars(harness) if name.startswith("_run_")}
+        assert runners == {"_run_" + name.replace("-", "_") for name in EXPERIMENTS}
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_runner_signature_declares_the_defaults(self, experiment):
+        runner = getattr(harness, "_run_" + experiment.replace("-", "_"))
+        ladder, *params = inspect.signature(runner).parameters.values()
+        assert ladder.name == "ladder" and ladder.default is inspect.Parameter.empty
+        assert {p.name: p.default for p in params} == RUNNER_PARAMS[experiment]
+
+    @pytest.mark.parametrize(
+        "experiment, name",
+        [(exp, name) for exp in EXPERIMENTS for name in SCAN_FLAGS if name not in RUNNER_PARAMS[exp]],
+    )
+    def test_foreign_parameter_refused(self, experiment, name):
+        with pytest.raises(ParameterError, match=f"{experiment} does not take {name}; it takes "):
+            run_experiment(experiment, **{name: 3})
+
+    def test_none_counts_as_absent(self):
+        # the CLI forwards None for every scan flag that was not given
+        want = run_experiment("falconer-ratio", ladder=[4, 8, 16])
+        assert run_experiment("falconer-ratio", ladder=[4, 8, 16], d=None, s=None, dim=None, levels=None) == want
+        assert dict(want.params)["d"] == "2" and dict(want.params)["s"] == "1.4"
+
+    def test_new_experiment_is_one_function(self, monkeypatch):
+        seen = []
+
+        def _run_toy_power(ladder, k=2):
+            seen.append((ladder, k))
+            return [(n, float(n**k)) for n in ladder or [2, 4, 8]], float(k), harness.TWO_SIDED, {"k": k}
+
+        monkeypatch.setattr(harness, "EXPERIMENTS", (*EXPERIMENTS, "toy-power"))
+        monkeypatch.setattr(harness, "_run_toy_power", _run_toy_power, raising=False)
+        series = run_experiment("toy-power", k=3, threads=2)  # threads only reaches a runner that names it
+        assert seen == [(None, 3)] and series.verdict == "pass"
+        assert dict(series.params) == {"k": "3", "seed": "0", "threads": "2"}
+        with pytest.raises(ParameterError, match="toy-power does not take d; it takes k"):
+            run_experiment("toy-power", d=2)
 
 
 class TestCrossover:

@@ -202,6 +202,23 @@ class TestGridPrune:
     one the per-pair float test makes, which the brute method shares."""
 
     @pytest.mark.parametrize("kind", [EUCLIDEAN, PARABOLOID_BODY])
+    def test_tiny_t_keeps_cell_keys_in_int64(self, kind):
+        # cells of side t/64 put the key of a coordinate 1 past int64 below
+        # t = 2^-57; the side is floored at 2^-60
+        steps = PointSet(dim=2, denominators=(2**62, 2**62), axes=((0, 1, 2**62), (0, 1)))
+        g = Gauge(kind, 2)
+        for pset, t, eps, want in [
+            (steps, 2.0**-62, 0.0, 10 if kind == EUCLIDEAN else None),
+            (steps, 2.0**-62, 2.0**-62, None),
+            (gen_lattice(4, 2), 1e-20, 0.0, 0),
+            (gen_lattice(4, 2), 1e-300, 0.0, 0),
+            (gen_lattice(4, 2), 1e-300, 1e-300, 0),
+        ]:
+            counts = {m: annulus_incidences(pset, g, t, eps, method=m).count for m in ("grid", "brute", "classes")}
+            assert len(set(counts.values())) == 1, (t, eps, counts)
+            assert want is None or counts["grid"] == want, (t, eps, counts)
+
+    @pytest.mark.parametrize("kind", [EUCLIDEAN, PARABOLOID_BODY])
     def test_equals_brute_over_several_prune_blocks(self, kind):
         # one point per cell of side t/64 = 1/128, on a 1/64 lattice
         pset = random_pointset(np.random.default_rng(77), 2, 2500)

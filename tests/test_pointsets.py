@@ -142,6 +142,26 @@ class TestCantor:
                 expected = recurse([(Fraction(0), Fraction(1))], params.ratio, levels)
                 assert gen_cantor_centers(params) == expected
 
+    def test_integer_axis_matches_fraction_construction(self):
+        # the construction in Fractions that the integer numerators replace
+        def fraction_axis(params):
+            lam, lefts, length = params.ratio, [Fraction(0)], Fraction(1)
+            for _ in range(params.levels):
+                offset = length * (1 - lam)
+                lefts = [a for left in lefts for a in (left, left + offset)]
+                length *= lam
+            den = 2 * lam.denominator**params.levels
+            return [(left + length / 2) * den for left in lefts], den
+
+        for alpha in (0.48, 0.3, math.log(2) / math.log(3), 0.5, 0.9, 0.01):
+            for levels in range(9):
+                params = CantorParams(alpha, levels)
+                nums, den = pointsets._cantor_axis(params)
+                want, want_den = fraction_axis(params)
+                assert all(w.denominator == 1 for w in want)
+                assert (nums, den) == (want, want_den), (alpha, levels)
+                assert all(type(v) is int for v in nums)
+
     def test_count_and_min_gap(self):
         for alpha in (0.4, 0.5, 0.63, 0.8):
             params = CantorParams(alpha, 5)
