@@ -14,6 +14,13 @@ latticecount; incidence loads incidence with pointsets and gauge; energy
 and ffield add their own layer to those three; scan loads harness and the
 layers its experiment calls. The scan choices come from the package's
 EXPERIMENTS registry, so --help and argument errors run no layer.
+
+Flags and output: a subcommand calls each layer function through _call, so
+the parameters that function's signature names without a default are the
+only statement of the flags it needs; a command lacking some exits 1 with one
+line naming the function and every missing flag. _emit writes every record
+and table but gen's point lists: JSON of the object as it is, or csv as a
+header and one line per record.
 """
 
 from __future__ import annotations
@@ -55,32 +62,38 @@ def _require_table_format(args) -> None:
         raise ParameterError(f"unsupported format {args.format!r} for this subcommand")
 
 
-def _emit_record(record: dict, args, csv_header: list[str] | None = None) -> None:
+def _emit(obj, args, header: list[str] | None = None) -> None:
+    """``obj`` as JSON, as it is; as csv, a header (the first record's keys
+    unless ``header`` is given) and one line per record. A dict is one
+    record, a list holds one per line."""
     _require_table_format(args)
     if args.format == "json":
-        _write(json.dumps(record, indent=2) + "\n", args)
+        _write(json.dumps(obj, indent=2) + "\n", args)
         return
-    keys = csv_header or list(record)
-    row = ",".join(str(record[k]) for k in keys)
-    _write(",".join(keys) + "\n" + row + "\n", args)
+    records = [obj] if isinstance(obj, dict) else obj
+    lines = [",".join(header or records[0])] + [",".join(map(str, rec.values())) for rec in records]
+    _write("\n".join(lines) + "\n", args)
+
+
+def _call(fn, args, **given):
+    """``fn`` called with ``given`` and, for each parameter its signature
+    names without a default, the flag of that name: the signature is the one
+    statement of the flags a command needs. Every unset one is refused at once."""
+    names = [name for name, param in inspect.signature(fn).parameters.items()
+             if param.default is param.empty and name not in given]
+    missing = [name for name in names if getattr(args, name, None) is None]
+    if missing:
+        raise ParameterError(f"{fn.__name__} needs flags: {', '.join('--' + m for m in missing)}")
+    return fn(**given, **{name: getattr(args, name) for name in names})
 
 
 def _build_pointset(args) -> pointsets.PointSet:
     if args.generator is None:
         raise ParameterError("--generator is required")
-    # gen_<generator>, called with the flags its signature names
     gen = getattr(pointsets, f"gen_{args.generator}", None)
     if gen is None:
         raise ParameterError(f"unknown generator {args.generator!r}")
-    names = list(inspect.signature(gen).parameters)
-    _require(args, *names)
-    return gen(**{name: getattr(args, name) for name in names})
-
-
-def _require(args, *names) -> None:
-    missing = [n for n in names if getattr(args, n, None) is None]
-    if missing:
-        raise ParameterError(f"--{args.generator} needs flags: {', '.join('--' + m for m in missing)}")
+    return _call(gen, args)
 
 
 def _params_string(args) -> str:
@@ -95,8 +108,7 @@ def _params_string(args) -> str:
 def _cmd_gen(args) -> int:
     _require_table_format(args)
     if args.generator == "cantor":
-        _require(args, "alpha", "levels")
-        params = pointsets.CantorParams(args.alpha, args.levels)
+        params = _call(pointsets.CantorParams, args)
         centers = pointsets.gen_cantor_centers(params)
         if args.format == "json":
             obj = {
@@ -133,21 +145,17 @@ def _cmd_gauge(args) -> int:
     point = [float(tok) for tok in args.point.split(",")]
     g = gauge.Gauge(args.kind, len(point))
     value = gauge.gauge_value(g, point)
-    _emit_record({"kind": args.kind, "dim": len(point), "value": value}, args)
+    _emit({"kind": args.kind, "dim": len(point), "value": value}, args)
     return 0
 
 
 def _cmd_incidence(args) -> int:
     if args.mode == "valtr-exact":
-        if args.n is None or args.d is None:
-            raise ParameterError("valtr-exact mode needs --n and --d")
         caps = tuple(args.caps.split(",")) if args.caps else ("upper", "lower", "ridge")
-        rep = incidence.exact_valtr_incidences(args.n, args.d, caps=caps, method=args.method or "exact_integer")
+        rep = _call(incidence.exact_valtr_incidences, args, caps=caps, method=args.method or "exact_integer")
         record = asdict(rep)
         record["caps"] = "|".join(rep.caps)
     elif args.mode == "annulus":
-        if args.generator is None:
-            raise ParameterError("annulus mode needs --generator")
         pset = _build_pointset(args)
         g = gauge.Gauge(args.norm, pset.dim)
         rep = incidence.annulus_incidences(
@@ -156,34 +164,19 @@ def _cmd_incidence(args) -> int:
         record = asdict(rep)
         record["caps"] = "|".join(rep.caps)
         record["generator"] = _params_string(args)
-    elif args.mode == "falconer":
-        if args.n is None or args.d is None or args.s is None:
-            raise ParameterError("falconer mode needs --n, --d and --s")
-        rec = incidence.falconer_measure_ratio(args.n, args.d, args.s)
-        record = asdict(rec)
-    else:
-        raise ParameterError(f"unknown mode {args.mode!r}")
-    _emit_record(record, args)
+    else:  # falconer
+        record = asdict(_call(incidence.falconer_measure_ratio, args))
+    _emit(record, args)
     return 0
 
 
 def _cmd_energy(args) -> int:
     if args.decompose:
-        if args.n is None or args.d is None:
-            raise ParameterError("--decompose needs --n and --d")
-        rep = energy.energy_decomposition(args.n, args.d, args.s)
+        rep = _call(energy.energy_decomposition, args)
         gen_name, params = "valtr", _params_string(args)
     elif args.cube_constant:
-        if args.d is None:
-            raise ParameterError("--cube-constant needs --d")
-        record = {
-            "generator": "cube",
-            "params": f"d={args.d}",
-            "s": args.s,
-            "value": energy.cube_self_energy(args.d, args.s),
-            "seed": args.seed,
-        }
-        _emit_record(record, args, csv_header=list(record))
+        value = _call(energy.cube_self_energy, args)
+        _emit({"generator": "cube", "params": f"d={args.d}", "s": args.s, "value": value, "seed": args.seed}, args)
         return 0
     else:
         pset = _build_pointset(args)
@@ -199,8 +192,11 @@ def _cmd_energy(args) -> int:
         "cross_term": rep.cross_term,
         "seed": args.seed,
     }
-    _emit_record(record, args, csv_header=list(record))
+    _emit(record, args)
     return 0
+
+
+_MAX_RADII = 100_000  # radii in one gauss range
 
 
 def _parse_radius_range(spec: str) -> list[float]:
@@ -215,6 +211,10 @@ def _parse_radius_range(spec: str) -> list[float]:
         out = []
         r = start
         while r <= stop + 1e-12:
+            if len(out) == _MAX_RADII:
+                raise ParameterError(f"radius range {spec!r} holds more than {_MAX_RADII} radii")
+            if r + step == r:
+                raise ParameterError(f"radius range {spec!r}: the step {step!r} does not advance r = {r!r}")
             out.append(round(r, 12))
             r += step
         return out
@@ -224,34 +224,19 @@ def _parse_radius_range(spec: str) -> list[float]:
 def _cmd_gauss(args) -> int:
     _require_table_format(args)
     if args.N is not None:
-        if args.s is None:
-            raise ParameterError("--N needs --s for the incidence total")
-        rec = latticecount.lattice_incidence_total(args.dim, args.N, args.s)
-        _emit_record(asdict(rec), args)
+        _emit(asdict(_call(latticecount.lattice_incidence_total, args)), args)
         return 0
     if args.R is None:
         raise ParameterError("gauss needs --R or --N")
     radii = _parse_radius_range(args.R)
     if args.w is not None:
-        rows = [(args.dim, r, args.w, latticecount.shell_count(args.dim, r, args.w)) for r in radii]
-        header = "dim,R,w,count"
-        lines = [header] + [",".join(str(x) for x in row) for row in rows]
-        if args.format == "json":
-            obj = [dict(zip(header.split(","), row)) for row in rows]
-            _write(json.dumps(obj, indent=2) + "\n", args)
-        else:
-            _write("\n".join(lines) + "\n", args)
+        _emit([{"dim": args.dim, "R": r, "w": args.w, "count": latticecount.shell_count(args.dim, r, args.w)}
+               for r in radii], args)
         return 0
     reports = [latticecount.ball_count(args.dim, r) for r in radii]
-    if args.format == "json":
-        obj = [{"dim": rep.dim, "radius": rep.radius, "count": rep.count,
-                "volume_term": rep.volume_term, "discrepancy": rep.discrepancy} for rep in reports]
-        _write(json.dumps(obj, indent=2) + "\n", args)
-    else:
-        lines = ["dim,R,count,volume,discrepancy"]
-        for rep in reports:
-            lines.append(f"{rep.dim},{rep.radius!r},{rep.count},{rep.volume_term!r},{rep.discrepancy!r}")
-        _write("\n".join(lines) + "\n", args)
+    records = [{"dim": rep.dim, "radius": rep.radius, "count": rep.count, "volume_term": rep.volume_term,
+                "discrepancy": rep.discrepancy} for rep in reports]
+    _emit(records, args, header=["dim", "R", "count", "volume", "discrepancy"])
     return 0
 
 
@@ -262,11 +247,9 @@ def _cmd_ffield(args) -> int:
         record["t"] = args.t
     elif args.set == "paraboloid":
         gamma = ffield.ff_paraboloid(args.q, args.d)
-    elif args.set == "sharpness":
+    else:  # sharpness
         gamma = ffield.sharpness_set(args.q, args.delta, args.d)
         record["delta"] = args.delta
-    else:
-        raise ParameterError(f"unknown set {args.set!r}")
     record["size"] = gamma.size
     if args.spectrum:
         record["spectrum_max_nonzero"] = ffield.ff_fourier(gamma).max_nonzero_mag
@@ -283,7 +266,7 @@ def _cmd_ffield(args) -> int:
         record["pair_count_normalized"] = count * args.q / gamma.size**2
         if args.set == "sharpness" and args.pair_with == "paraboloid" and args.method == "brute":
             record["sharpness_ratio"] = record["pair_count_normalized"]  # the same count of the same sets
-    _emit_record(record, args)
+    _emit(record, args)
     return 0
 
 

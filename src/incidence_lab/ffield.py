@@ -17,7 +17,7 @@ from .errors import CapacityError, InputError, ParameterError
 from .incidence import _axis_gaps, _head_classes
 
 _MAX_CELLS = 50_000_000
-_PAIR_CHUNK = 512
+_PAIR_BYTES = 1 << 22  # one chunk of the dense exact pair count
 
 
 def is_prime(q: int) -> bool:
@@ -214,14 +214,22 @@ def ff_pair_count(E: FFSet, gamma: FFSet, method: str = "brute"):
     if method == "brute":
         if E.factors is not None and gamma.quadric is not None:
             return _product_quadric_pairs(E.factors, gamma.quadric)
-        pts = E.coords()
         flat = gamma.indicator.ravel()
-        strides = np.array([q ** (d - 1 - j) for j in range(d)], dtype=np.int64)
+        # the grid holds at most _MAX_CELLS < 2^31 cells, so flat indices fit
+        # in int32; a chunk holds, per pair, the flat index of x - y, one
+        # axis's difference and the lookup: under 12 bytes
+        cols = E.coords().T.astype(np.int32)
+        n = cols.shape[1]
+        rows = max(1, _PAIR_BYTES // max(1, 12 * n))
         total = 0
-        for i0 in range(0, len(pts), _PAIR_CHUNK):
-            block = pts[i0 : i0 + _PAIR_CHUNK]
-            diff = (block[:, None, :] - pts[None, :, :]) % q
-            total += int(flat[diff @ strides].sum())
+        for i0 in range(0, n, rows):
+            idx = np.zeros((min(rows, n - i0), n), dtype=np.int32)
+            for col in cols:
+                diff = np.subtract.outer(col[i0 : i0 + rows], col)
+                diff %= q
+                idx *= q
+                idx += diff
+            total += int(np.count_nonzero(flat[idx]))
         return total
     if method == "fourier":
         if E.factors is not None and gamma.quadric is not None:

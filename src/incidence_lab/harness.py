@@ -86,26 +86,20 @@ class CrossoverReport:
     inside_validity_window: bool
 
 
-def _mattila_s(dim: int, param: float) -> float:
-    """Target dimension: 1 + alpha in dim 2, 2 - 3*delta/2 in dim 3."""
-    return 1.0 + param if dim == 2 else 2.0 - 1.5 * param
-
-
-def _mattila_count(dim: int, param: float, level: int, s: float) -> tuple[int, int]:
-    """Point count and annulus incidences (radius 1, thickness N^(-1/s)) of
-    the Mattila-type set at ``level``, counted exactly by difference
-    classes."""
+def _mattila_count(dim: int, param: float, level: int) -> tuple[pointsets.PointSet, int]:
+    """The Mattila-type set at ``level`` and its annulus incidences (radius
+    1, thickness N^(-1/s) for its target dimension s), counted exactly by
+    difference classes."""
     pset = pointsets.gen_mattila2(param, level) if dim == 2 else pointsets.gen_mattila3(param, level)
-    eps = pset.n_points ** (-1.0 / s)
+    eps = pset.n_points ** (-1.0 / pset.s_dim)
     rep = incidence.annulus_incidences(pset, gauge.Gauge(gauge.EUCLIDEAN, dim), 1.0, eps, method="classes")
-    return pset.n_points, rep.count
+    return pset, rep.count
 
 
-def _crossover_report(dim: int, s: float, n_pts: int, count: int) -> CrossoverReport:
-    k = round(n_pts ** (1.0 / dim))
-    lattice_n = k**dim
+def _crossover_report(pset: pointsets.PointSet, count: int) -> CrossoverReport:
+    dim, s, n_pts = pset.dim, pset.s_dim, pset.n_points
+    lattice_n = round(n_pts ** (1.0 / dim)) ** dim
     lat = latticecount.lattice_incidence_total(dim, lattice_n, s)
-    predicted = s < 1.5 if dim == 2 else s < 2.0
     return CrossoverReport(
         dim=dim,
         s=s,
@@ -114,7 +108,7 @@ def _crossover_report(dim: int, s: float, n_pts: int, count: int) -> CrossoverRe
         lattice_points=lattice_n,
         lattice_count=lat.incidences,
         mattila_wins=count > lat.incidences,
-        predicted_mattila_wins=predicted,
+        predicted_mattila_wins=s < (dim + 1) / 2,
         inside_validity_window=lat.valid,
     )
 
@@ -133,8 +127,7 @@ def mattila_lattice_crossover(
     name, param = ("alpha", alpha) if dim == 2 else ("delta", delta)
     if param is None:
         raise ParameterError(f"dim {dim} crossover needs {name}")
-    s = _mattila_s(dim, param)
-    return _crossover_report(dim, s, *_mattila_count(dim, param, level, s))
+    return _crossover_report(*_mattila_count(dim, param, level))
 
 
 def _default_ladder(ladder, defaults: dict, key: str, value: int):
@@ -177,19 +170,21 @@ def _run_valtr_energy(ladder, d=2, s=1.2):
 def _mattila_series(dim, name, param, ladder):
     """The Mattila-type set's (size, count) ladder and its scan params."""
     ladder = ladder or [1, 2, 3, 4]
-    s = _mattila_s(dim, param)
-    pts = [_mattila_count(dim, param, level, s) for level in ladder]
+    pts = []
+    for level in ladder:
+        pset, count = _mattila_count(dim, param, level)
+        pts.append((pset.n_points, float(count)))
     # the crossover is taken at the top rung, whose count is already known
-    cross = _crossover_report(dim, s, *pts[-1])
+    cross = _crossover_report(pset, count)
     extra = {
         name: param,
-        "s": s,
+        "s": cross.s,
         "ladder_levels": ladder,
         "crossover_mattila_wins": cross.mattila_wins,
         "crossover_predicted": cross.predicted_mattila_wins,
         "crossover_valid_window": cross.inside_validity_window,
     }
-    return [(n, float(count)) for n, count in pts], extra
+    return pts, extra
 
 
 def _run_mattila2_incidence(ladder, alpha=0.48):

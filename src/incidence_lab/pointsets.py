@@ -275,5 +275,5 @@ def gen_mattila3(delta: float, levels: int) -> PointSet:
         denominators=(den_a, den_a, den_b),
         axes=(a_nums, a_nums, b_nums),
         label="mattila3",
-        s_dim=2.0 * alpha + beta,
+        s_dim=2.0 - 1.5 * delta,  # 2 alpha + beta, without the rounding of the float sum
     )

@@ -1,10 +1,13 @@
+import functools
 import json
+import time
 
 import pytest
 
 from incidence_lab import adaptability_sum, annulus_incidences, cube_self_energy, gen_lenz, gen_mattila2
 from incidence_lab import EUCLIDEAN, EXPERIMENTS, Gauge
-from incidence_lab.cli import main
+from incidence_lab import ParameterError
+from incidence_lab.cli import _MAX_RADII, _call, _parse_radius_range, main
 
 
 def run(capsys, *argv):
@@ -189,6 +192,46 @@ class TestGauss:
         assert lines[0] == "dim,R,w,count"
         assert lines[1].split(",")[-1] == "12"
 
+    def test_shell_table_pinned(self, capsys):
+        code, out, _ = run(capsys, "gauss", "--dim", "2", "--R", "10:30:10", "--w", "1.5")
+        assert code == 0
+        assert out == "dim,R,w,count\n2,10.0,1.5,116\n2,20.0,1.5,212\n2,30.0,1.5,316\n"
+        code, out, _ = run(capsys, "gauss", "--dim", "2", "--R", "10:30:10", "--w", "1.5", "--format", "json")
+        assert code == 0
+        assert out == (
+            '[\n'
+            '  {\n    "dim": 2,\n    "R": 10.0,\n    "w": 1.5,\n    "count": 116\n  },\n'
+            '  {\n    "dim": 2,\n    "R": 20.0,\n    "w": 1.5,\n    "count": 212\n  },\n'
+            '  {\n    "dim": 2,\n    "R": 30.0,\n    "w": 1.5,\n    "count": 316\n  }\n'
+            ']\n'
+        )
+
+    def test_one_radius_json_is_a_list(self, capsys):
+        code, out, _ = run(capsys, "gauss", "--dim", "2", "--R", "5", "--format", "json")
+        assert code == 0
+        assert out == (
+            '[\n  {\n    "dim": 2,\n    "radius": 5.0,\n    "count": 81,\n'
+            '    "volume_term": 78.53981633974483,\n    "discrepancy": 2.4601836602551685\n  }\n]\n'
+        )
+
+    @pytest.mark.parametrize("spec, err", [
+        # r += 1 is absorbed at 1e17, so listing the radii never ended
+        ("1e17:2e17:1", "error: radius range '1e17:2e17:1': the step 1.0 does not advance r = 1e+17\n"),
+        ("5e16:5e16:1", "error: radius range '5e16:5e16:1': the step 1.0 does not advance r = 5e+16\n"),
+        # 3e9 radii were listed before the counter refused R > 2e6
+        ("0:3000000:0.001", f"error: radius range '0:3000000:0.001' holds more than {_MAX_RADII} radii\n"),
+    ])
+    def test_endless_range_refused(self, capsys, spec, err):
+        start = time.perf_counter()
+        code, out, got = run(capsys, "gauss", "--dim", "2", "--R", spec)
+        assert (code, out, got) == (1, "", err)
+        assert time.perf_counter() - start < 2
+
+    def test_radius_cap(self):
+        assert len(_parse_radius_range(f"1:{_MAX_RADII}")) == _MAX_RADII
+        with pytest.raises(ParameterError, match="holds more than"):
+            _parse_radius_range(f"1:{_MAX_RADII + 1}")
+
     def test_incidence_total(self, capsys):
         code, out, _ = run(capsys, "gauss", "--dim", "2", "--N", "400", "--s", "1.48",
                            "--format", "json")
@@ -201,6 +244,47 @@ class TestGauss:
             code, out, err = run(capsys, "gauss", "--dim", "2", *extra, "--format", "gnuplot")
             assert code == 1 and out == ""
             assert err == "error: unsupported format 'gnuplot' for this subcommand\n"
+
+
+class TestMissingFlags:
+    # each mode's flags are the parameters its layer function names without a
+    # default; one line names every one that is unset
+    @pytest.mark.parametrize("argv, err", [
+        (["incidence", "--mode", "valtr-exact"], "exact_valtr_incidences needs flags: --n, --d"),
+        (["incidence", "--mode", "valtr-exact", "--n", "4"], "exact_valtr_incidences needs flags: --d"),
+        (["incidence", "--mode", "falconer", "--d", "2"], "falconer_measure_ratio needs flags: --n, --s"),
+        (["incidence", "--mode", "annulus", "--t", "1"], "--generator is required"),
+        (["energy", "--generator", "lenz", "--s", "1.5"], "gen_lenz needs flags: --N"),
+        (["energy", "--s", "1.4", "--decompose"], "energy_decomposition needs flags: --n, --d"),
+        (["energy", "--s", "1.6", "--cube-constant"], "cube_self_energy needs flags: --d"),
+        (["gauss", "--dim", "2", "--N", "400"], "lattice_incidence_total needs flags: --s"),
+        (["gen", "--generator", "cantor", "--alpha", "0.5"], "CantorParams needs flags: --levels"),
+        (["gen", "--generator", "mattila3"], "gen_mattila3 needs flags: --delta, --levels"),
+    ])
+    def test_one_error_line(self, capsys, argv, err):
+        assert run(capsys, *argv) == (1, "", f"error: {err}\n")
+
+    def test_call_reads_only_parameters_without_default(self):
+        def fn(n, d, s, caps="all"):
+            return n, d, s, caps
+
+        args = type("Args", (), {"n": 2, "d": 3, "s": None, "caps": "ignored"})()
+        assert _call(fn, args, s=1.5) == (2, 3, 1.5, "all")
+        with pytest.raises(ParameterError, match="^fn needs flags: --s$"):
+            _call(fn, args)
+
+    def test_call_sees_through_a_wrapper(self):
+        # a span tracer wraps layer functions with functools.wraps
+        def fn(n, d):
+            return n * d
+
+        @functools.wraps(fn)
+        def wrapper(*a, **kw):
+            return fn(*a, **kw)
+
+        assert _call(wrapper, type("Args", (), {"n": 2, "d": 3})()) == 6
+        with pytest.raises(ParameterError, match="^fn needs flags: --n, --d$"):
+            _call(wrapper, type("Args", (), {"n": None})())
 
 
 class TestFField:

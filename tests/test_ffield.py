@@ -277,6 +277,19 @@ class TestPairCount:
         assert count == full_spectrum_pair_count(box, par)
         assert peak < 25 * 2**20
 
+    def test_dense_brute_peak_q53(self):
+        # the sphere (2,862 points) against the paraboloid takes the dense
+        # exact path, whose chunks are sized by bytes, not by rows
+        sphere, par = ff_sphere(53, 3, 1), ff_paraboloid(53, 3)
+        tracemalloc.start()
+        try:
+            count = ff_pair_count(sphere, par)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 165518 == round(ff_pair_count(sphere, par, method="fourier"))
+        assert peak < 16 * 2**20
+
     def test_mismatched_fields_rejected(self):
         with pytest.raises(ParameterError):
             ff_pair_count(ff_sphere(5, 2, 1), ff_sphere(7, 2, 1))

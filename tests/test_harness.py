@@ -15,6 +15,7 @@ from incidence_lab import (
     exact_valtr_incidences,
     falconer_measure_ratio,
     fit_exponent,
+    gen_mattila3,
     gen_valtr,
     is_prime,
     mattila_lattice_crossover,
@@ -349,6 +350,17 @@ class TestCrossover:
     def test_missing_parameter(self):
         with pytest.raises(ParameterError):
             mattila_lattice_crossover(2, 2)
+
+    def test_mattila3_s_is_the_sets_s(self):
+        # 2 alpha + beta in float put s_dim one rounding off 2 - 3 delta / 2
+        # (1.9000000000000001 at delta = 1/15) at each of these delta
+        for delta in (1 / 15, 0.2, 0.3, 1 / 3, 0.05):
+            assert gen_mattila3(delta, 1).s_dim == 2 - 1.5 * delta
+        # at delta = 1/3, s = 3/2 = dim/2, where the lattice total is undefined
+        for delta in (1 / 15, 0.2, 0.3, 0.05):
+            params = dict(run_experiment("mattila3-incidence", delta=delta, ladder=[1, 2, 3]).params)
+            rep = mattila_lattice_crossover(3, 1, delta=delta)
+            assert json.loads(params["s"]) == rep.s == gen_mattila3(delta, 1).s_dim
 
     def test_scan_crossover_matches_public_report(self):
         # the scan reuses its top rung's count instead of recounting it
