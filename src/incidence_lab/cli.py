@@ -11,9 +11,10 @@ Layer loading: the layers are referred to as modules of the package, which
 registers them unrun, so a subcommand runs only the layers it calls. gen
 loads pointsets and never NumPy; gauge loads gauge; gauss loads
 latticecount; incidence loads incidence with pointsets and gauge; energy
-and ffield add their own layer to those three; scan loads harness and the
-layers its experiment calls. The scan choices come from the package's
-EXPERIMENTS registry, so --help and argument errors run no layer.
+adds its own layer to those three; ffield loads ffield alone; scan loads
+harness and the layers its experiment calls. The scan choices come from the
+package's EXPERIMENTS registry and the generator choices from GENERATORS,
+so --help and argument errors run no layer.
 
 Flags and output: a subcommand calls each layer function through _call, so
 the parameters that function's signature names without a default are the
@@ -87,22 +88,17 @@ def _call(fn, args, **given):
     return fn(**given, **{name: getattr(args, name) for name in names})
 
 
-def _build_pointset(args) -> pointsets.PointSet:
+def _build_pointset(args) -> tuple[pointsets.PointSet, str]:
+    """The point set that --generator names, and its parameters as recorded."""
     if args.generator is None:
         raise ParameterError("--generator is required")
-    gen = getattr(pointsets, f"gen_{args.generator}", None)
-    if gen is None:
-        raise ParameterError(f"unknown generator {args.generator!r}")
-    return _call(gen, args)
+    gen = getattr(pointsets, f"gen_{args.generator}")
+    return _call(gen, args), _params_string(gen, args)
 
 
-def _params_string(args) -> str:
-    parts = []
-    for name in ("n", "d", "N", "k", "alpha", "delta", "levels"):
-        value = getattr(args, name, None)
-        if value is not None:
-            parts.append(f"{name}={value}")
-    return ";".join(parts)
+def _params_string(gen, args) -> str:
+    """name=value for each flag that ``gen``'s signature names, in its order."""
+    return ";".join(f"{name}={getattr(args, name)}" for name in inspect.signature(gen).parameters)
 
 
 def _cmd_gen(args) -> int:
@@ -122,7 +118,7 @@ def _cmd_gen(args) -> int:
         else:
             _write("x1\n" + "".join(_frac_str(c) + "\n" for c in centers), args)
         return 0
-    pset = _build_pointset(args)
+    pset, _ = _build_pointset(args)
     if args.format == "json":
         obj = {
             "label": pset.label,
@@ -156,14 +152,14 @@ def _cmd_incidence(args) -> int:
         record = asdict(rep)
         record["caps"] = "|".join(rep.caps)
     elif args.mode == "annulus":
-        pset = _build_pointset(args)
+        pset, params = _build_pointset(args)
         g = gauge.Gauge(args.norm, pset.dim)
         rep = incidence.annulus_incidences(
             pset, g, args.t, args.eps, method=args.method or "brute", threads=args.threads
         )
         record = asdict(rep)
         record["caps"] = "|".join(rep.caps)
-        record["generator"] = _params_string(args)
+        record["generator"] = params
     else:  # falconer
         record = asdict(_call(incidence.falconer_measure_ratio, args))
     _emit(record, args)
@@ -173,15 +169,15 @@ def _cmd_incidence(args) -> int:
 def _cmd_energy(args) -> int:
     if args.decompose:
         rep = _call(energy.energy_decomposition, args)
-        gen_name, params = "valtr", _params_string(args)
+        gen_name, params = "valtr", _params_string(pointsets.gen_valtr, args)
     elif args.cube_constant:
         value = _call(energy.cube_self_energy, args)
         _emit({"generator": "cube", "params": f"d={args.d}", "s": args.s, "value": value, "seed": args.seed}, args)
         return 0
     else:
-        pset = _build_pointset(args)
+        pset, params = _build_pointset(args)
         rep = energy.adaptability_sum(pset, args.s, threads=args.threads)
-        gen_name, params = pset.label, _params_string(args)
+        gen_name = pset.label
     record = {
         "generator": gen_name,
         "params": params,
@@ -288,9 +284,13 @@ def _add_common(sub: argparse.ArgumentParser, default_format: str) -> None:
     sub.add_argument("--out", default=None, help="write output to FILE instead of stdout")
 
 
-def _add_generator_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--generator", required=False, default=None,
-                     choices=["valtr", "lenz", "lattice", "cantor", "mattila2", "mattila3"])
+# The point-set generators, each pointsets.gen_<name>; gen also emits the
+# cantor axis. Listed here so that building the parser loads no layer.
+GENERATORS = ("valtr", "lenz", "lattice", "mattila2", "mattila3")
+
+
+def _add_generator_flags(sub: argparse.ArgumentParser, generators: tuple[str, ...] = GENERATORS) -> None:
+    sub.add_argument("--generator", required=False, default=None, choices=generators)
     sub.add_argument("--n", type=int, default=None)
     sub.add_argument("--d", type=int, default=None)
     sub.add_argument("--N", type=int, default=None)
@@ -306,7 +306,7 @@ def _build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("gen", parents=[], help="emit a point configuration")
-    _add_generator_flags(p)
+    _add_generator_flags(p, GENERATORS + ("cantor",))
     _add_common(p, "csv")
     p.set_defaults(func=_cmd_gen)
 

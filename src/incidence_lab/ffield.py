@@ -1,20 +1,21 @@
 """Finite-field side: subsets of F_q^d, their discrete Fourier transforms
 against the additive character exp(2*pi*i*u/q), spheres and paraboloids, the
-pair count #{(x, y) in E x E : x - y in gamma} exactly (by difference classes
-for a product against a quadric) or through E's autocorrelation, and the
-Cartesian-product family that makes the pair-count bound sharp.
+pair count #{(x, y) in E x E : x - y in gamma} exactly (for a product
+against a quadric, by one mod-q table of each factor's differences) or
+through E's autocorrelation, and the Cartesian-product family that makes the
+pair-count bound sharp.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, InputError, ParameterError
-from .incidence import _axis_gaps, _head_classes
 
 _MAX_CELLS = 50_000_000
 _PAIR_BYTES = 1 << 22  # one chunk of the dense exact pair count
@@ -159,31 +160,64 @@ def _spectrum(ind: np.ndarray) -> np.ndarray:
     return np.fft.fftn(np.fft.rfft(ind), axes=range(ind.ndim - 1))
 
 
-def _product_quadric_count(factors: tuple[np.ndarray, ...], quadric: tuple[str, int]) -> float:
-    """The sum over z in the quadric of (E * E)(z) = prod_j (A_j * A_j)(z_j),
-    for the product E = A_1 x ... x A_d, with no q^d grid: O(d q log q).
+def _autocorrelation(a: np.ndarray) -> np.ndarray:
+    """The ordered pairs of the cells of ``a`` by difference g = 0, 1, ...,
+    w - 1, for w the span of its cells (empty for no cell), as int64: one
+    real FFT of a power-of-two length n >= 2w - 1, so no lag wraps, rounded,
+    because its entries are integers at most w and the transform's error
+    stays far below 1/2."""
+    cells = np.flatnonzero(a)
+    if not cells.size:
+        return np.zeros(0, dtype=np.int64)
+    w = int(cells[-1] - cells[0]) + 1
+    n = 1 << (2 * w - 2).bit_length()
+    ind = np.zeros(n)
+    ind[cells - cells[0]] = 1.0
+    a_hat = np.fft.rfft(ind)
+    return np.rint(np.fft.irfft((a_hat * a_hat.conj()).real, n=n)[:w]).astype(np.int64)
 
-    Each 1-D autocorrelation is irfft(|rfft(A_j)|^2). The head axes' ones are
-    binned by z_j^2 mod q and convolved cyclically, by length-q FFTs, into a
-    table T[S] over S = |z'|^2 mod q. The paraboloid z_d = S reads the last
-    axis's autocorrelation at S; the sphere |z|^2 = t bins it by z_d^2 as
-    well and reads it at t - S.
-    """
+
+def _product_tables(factors: tuple[np.ndarray, ...], quadric: tuple[str, int]) -> tuple[list, np.ndarray]:
+    """The mod-q tables of a product E = A_1 x ... x A_d against a quadric:
+    one per head axis, its ordered pairs binned by g^2 mod q for their
+    difference g, and one last-axis table over S = |z'|^2 mod q, the pairs
+    at g = S (paraboloid) or at g^2 = t - S (sphere). The pair count is
+    sum_S T[S] last[S], where T is the cyclic convolution of the head tables.
+    Each factor's pairs by g mod q are its autocorrelation with the lags
+    folded mod q."""
     q = len(factors[0])
     squares = _square_sums(q, 1)
     corr = []
     for a in factors:
-        a_hat = np.fft.rfft(a)
-        corr.append(np.fft.irfft((a_hat * a_hat.conj()).real, n=q))
-    head = np.ones(q // 2 + 1, complex)  # the transform of T for no head axes, the unit at S = 0
-    for c in corr[:-1]:
-        head *= np.fft.rfft(np.bincount(squares, weights=c, minlength=q))
-    table = np.fft.irfft(head, n=q)
+        lags = _autocorrelation(a)
+        w = len(lags)
+        c = np.zeros(q, dtype=np.int64)
+        c[:w] = lags  # the lags g = 0, ..., w - 1
+        c[q - w + 1 :] += lags[:0:-1]  # and -g = q - g for g = w - 1, ..., 1
+        corr.append(c)
+
+    def by_square(c):  # a bin of g^2 holds the pairs at g and -g: at most 2w <= 2q, exact in float64
+        return np.bincount(squares, weights=c, minlength=q).astype(np.int64)
+
     kind, t = quadric
-    if kind == "paraboloid":
-        return float(table @ corr[-1])
-    last = np.bincount(squares, weights=corr[-1], minlength=q)
-    return float(table @ last[(t - np.arange(q)) % q])
+    last = corr[-1] if kind == "paraboloid" else by_square(corr[-1])[(t - np.arange(q)) % q]
+    return [by_square(c) for c in corr[:-1]], last
+
+
+def _product_quadric_count(factors: tuple[np.ndarray, ...], quadric: tuple[str, int]) -> float:
+    """The sum over z in the quadric of (E * E)(z) = prod_j (A_j * A_j)(z_j),
+    for the product E = A_1 x ... x A_d, with no q^d grid: O(d q log q).
+
+    The head tables (_product_tables) are convolved cyclically by length-q
+    FFTs into T and summed against the last-axis table, in float64, so the
+    count can be off once it passes 2^53.
+    """
+    q = len(factors[0])
+    heads, last = _product_tables(factors, quadric)
+    spec = np.ones(q // 2 + 1, complex)  # the transform of T for no head axes, the unit at S = 0
+    for h in heads:
+        spec *= np.fft.rfft(h)
+    return float(np.fft.irfft(spec, n=q) @ last)
 
 
 def ff_fourier(S: FFSet) -> FFSpectrum:
@@ -198,13 +232,15 @@ def ff_fourier(S: FFSet) -> FFSpectrum:
 def ff_pair_count(E: FFSet, gamma: FFSet, method: str = "brute"):
     """#{(x, y) in E x E : x - y in gamma}.
 
-    ``brute`` is exact (integer result): difference classes for a product E
-    against a quadric (_product_quadric_pairs), pair enumeration otherwise. ``fourier``
-    sums E's autocorrelation (E * E)(z) = #{(x, y) in E x E : x - y = z} over
-    z in gamma, in float64. When E is a product of 1-D factors and gamma a
-    quadric (sharpness_set against ff_paraboloid or ff_sphere), the
-    autocorrelation is the product of the factors' and the sum runs over
-    their squares, with no q^d grid (_product_quadric_count). For any other
+    ``brute`` is exact (integer result): for a product E against a quadric,
+    the factors' mod-q difference tables convolved in int64
+    (_product_quadric_pairs), pair enumeration otherwise. ``fourier`` sums
+    E's autocorrelation (E * E)(z) = #{(x, y) in E x E : x - y = z} over z in
+    gamma, in float64, so it can be off once the count passes 2^53. When E
+    is a product of 1-D factors and gamma a quadric (sharpness_set against
+    ff_paraboloid or ff_sphere), the autocorrelation is the product of the
+    factors' and the sum runs over their squares, with no q^d grid: the same
+    tables convolved by FFTs (_product_quadric_count). For any other
     input it is the inverse transform of |E_hat|^2, taken by irfftn from E's
     half spectrum on the grid; gamma is not transformed.
     """
@@ -245,19 +281,25 @@ def ff_pair_count(E: FFSet, gamma: FFSet, method: str = "brute"):
 
 def _product_quadric_pairs(factors: tuple[np.ndarray, ...], quadric: tuple[str, int]) -> int:
     """The exact pair count of a product E against a quadric, with no q^d
-    grid: the head gaps grouped by S = |x' - y'|^2 (_head_classes) fill a
-    table T[S mod q], read at each last-axis gap e (_axis_gaps pools e and
-    -e): e = S mod q for the paraboloid, e^2 = t - S for the sphere."""
+    grid: the head tables (_product_tables) are convolved cyclically in
+    int64 into T, each step summing the shifts of whichever side has fewer
+    nonzero bins, and sum_S T[S] last[S] is read in Python ints. A step is
+    refused when max(T) times the sum of the next table could pass 2^63."""
     q = len(factors[0])
-    axes = [np.flatnonzero(f).tolist() for f in factors]
-    table = [0] * q
-    for s, m in _head_classes(axes[:-1], (1,) * (len(axes) - 1))[1].items():
-        table[s % q] += m
-    kind, t = quadric
-    gaps = _axis_gaps(axes[-1]).items()
-    if kind == "paraboloid":  # a gap g > 0 holds m / 2 pairs at e = g and m / 2 at e = -g
-        return sum(m * (table[g % q] + table[-g % q]) for g, m in gaps) // 2
-    return sum(m * table[(t - g * g) % q] for g, m in gaps)
+    heads, last = _product_tables(factors, quadric)
+    table = np.zeros(q, dtype=np.int64)
+    table[0] = 1  # T for no head axes, the unit at S = 0
+    for b in heads:
+        if int(table.max()) * int(b.sum()) >= 2**63:
+            raise CapacityError(f"a head table of {q} bins could pass 2^63 pairs in int64")
+        if np.count_nonzero(b) > np.count_nonzero(table):
+            table, b = b, table
+        out = np.zeros(q, dtype=np.int64)
+        for u in np.flatnonzero(b):
+            out += b[u] * np.roll(table, u)
+        table = out
+    cells = np.flatnonzero(last)
+    return sum(map(operator.mul, table[cells].tolist(), last[cells].tolist()))
 
 
 def sharpness_set(q: int, delta: float, d: int) -> FFSet:

@@ -174,15 +174,16 @@ def _mattila_series(dim, name, param, ladder):
     for level in ladder:
         pset, count = _mattila_count(dim, param, level)
         pts.append((pset.n_points, float(count)))
-    # the crossover is taken at the top rung, whose count is already known
-    cross = _crossover_report(pset, count)
+    # the crossover is taken at the top rung, whose count is already known;
+    # it is absent (null) for s <= dim/2, where no lattice total exists
+    cross = _crossover_report(pset, count) if pset.s_dim > pset.dim / 2 else None
     extra = {
         name: param,
-        "s": cross.s,
+        "s": pset.s_dim,
         "ladder_levels": ladder,
-        "crossover_mattila_wins": cross.mattila_wins,
-        "crossover_predicted": cross.predicted_mattila_wins,
-        "crossover_valid_window": cross.inside_validity_window,
+        "crossover_mattila_wins": cross.mattila_wins if cross else None,
+        "crossover_predicted": cross.predicted_mattila_wins if cross else None,
+        "crossover_valid_window": cross.inside_validity_window if cross else None,
     }
     return pts, extra
 

@@ -437,8 +437,7 @@ def _head_classes(axes, denominators) -> tuple[int, dict[int, int]]:
     """The ordered pairs of the product of ``axes`` grouped by squared
     length: (Q, {R: pairs}), Q = lcm(den_j^2), where R / Q = |x|^2 for the
     difference x of each pair; R = 0, the pairs p = q, is the first key.
-    The one head table of the band kernel, the class energy and the
-    exact finite-field product count (ffield._product_quadric_pairs).
+    The one head table of the band kernel and the class energy.
 
     The table is built axis by axis, each step adding every scaled square
     gap of one axis to every key so far. Before anything is built, the work

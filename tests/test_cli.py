@@ -1,4 +1,5 @@
 import functools
+import inspect
 import json
 import time
 
@@ -6,8 +7,8 @@ import pytest
 
 from incidence_lab import adaptability_sum, annulus_incidences, cube_self_energy, gen_lenz, gen_mattila2
 from incidence_lab import EUCLIDEAN, EXPERIMENTS, Gauge
-from incidence_lab import ParameterError
-from incidence_lab.cli import _MAX_RADII, _call, _parse_radius_range, main
+from incidence_lab import ParameterError, pointsets
+from incidence_lab.cli import _MAX_RADII, GENERATORS, _call, _parse_radius_range, main
 
 
 def run(capsys, *argv):
@@ -106,6 +107,16 @@ class TestEnergy:
         assert cells[0] == "lenz"
         lib = adaptability_sum(gen_lenz(8), 1.5).lambda_s
         assert float(cells[4]) == pytest.approx(lib, rel=1e-15)
+
+    @pytest.mark.parametrize("argv, params", [
+        (["--generator", "lenz", "--N", "8", "--d", "2", "--n", "5"], "lenz,N=8,"),
+        (["--generator", "lattice", "--k", "3", "--d", "2", "--alpha", "0.5"], "lattice,k=3;d=2,"),
+        (["--generator", "valtr", "--n", "3", "--d", "2", "--decompose", "--N", "9"], "valtr,n=3;d=2,"),
+    ])
+    def test_params_are_the_generators_flags(self, capsys, argv, params):
+        # the flags the generator's signature names, in its order; any other flag is not recorded
+        code, out, _ = run(capsys, "energy", *argv, "--s", "1.4")
+        assert code == 0 and out.splitlines()[1].startswith(params)
 
     def test_decompose(self, capsys):
         code, out, _ = run(capsys, "energy", "--generator", "valtr", "--n", "2", "--d", "2",
@@ -246,6 +257,24 @@ class TestGauss:
             assert err == "error: unsupported format 'gnuplot' for this subcommand\n"
 
 
+class TestGenerators:
+    def test_every_point_set_generator_is_offered(self):
+        # each choice is a pointsets.gen_<name> that builds a PointSet; the tuple
+        # is written out in cli, so that building the parser loads no layer
+        builders = {name[len("gen_"):] for name, fn in vars(pointsets).items()
+                    if name.startswith("gen_") and inspect.signature(fn).return_annotation == "PointSet"}
+        assert len(GENERATORS) == len(set(GENERATORS)) and set(GENERATORS) == builders
+
+    @pytest.mark.parametrize("argv", [
+        ["energy", "--s", "1", "--alpha", "0.5", "--levels", "2"],
+        ["incidence", "--mode", "annulus", "--alpha", "0.5", "--levels", "2"],
+    ])
+    def test_cantor_only_for_gen(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--generator", "cantor")
+        assert code == 1 and out == ""
+        assert "argument --generator: invalid choice: 'cantor'" in err
+
+
 class TestMissingFlags:
     # each mode's flags are the parameters its layer function names without a
     # default; one line names every one that is unset
@@ -343,6 +372,15 @@ class TestScan:
                            "--ladder", "4,8,16", "--tolerance", "0.0001")
         assert code == 2
         assert json.loads(out)["verdict"] == "fail"
+
+    @pytest.mark.parametrize("delta", ["0.4", "0.5"])
+    def test_mattila3_without_lattice_total(self, capsys, delta):
+        # s = 2 - 3 delta / 2 <= 3/2 has no lattice total: the crossover is null, not an error
+        code, out, err = run(capsys, "scan", "--experiment", "mattila3-incidence", "--delta", delta,
+                             "--ladder", "1,2,3")
+        obj = json.loads(out)
+        assert code == (0 if obj["verdict"] == "pass" else 2) and err == ""
+        assert obj["params"]["crossover_mattila_wins"] == "null"
 
     def test_gnuplot_format(self, capsys):
         code, out, _ = run(capsys, "scan", "--experiment", "valtr-incidence", "--d", "2",

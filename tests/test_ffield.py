@@ -17,7 +17,7 @@ from incidence_lab import (
     sharpness_ratio,
     sharpness_set,
 )
-from incidence_lab.ffield import _spectrum
+from incidence_lab.ffield import _autocorrelation, _spectrum
 
 SMALL_FIELDS = [(q, d) for q in (3, 5, 7, 11, 13) for d in (2, 3)]
 
@@ -369,6 +369,73 @@ class TestProductQuadric:
             eager[(slice(0, a_max + 1),) * (d - 1) + (slice(0, b_max + 1),)] = True
             box = sharpness_set(q, 0.1, d)
             assert box.size == int(eager.sum()) and np.array_equal(box.indicator, eager)
+
+
+def oracle_product_pairs(factors, quadrics):
+    """The pair count of a product against each quadric, built apart from
+    ffield: each axis's ordered pairs binned by their difference mod q
+    (np.subtract.outer, np.bincount), the head axes' tables binned by g^2
+    and convolved cyclically as q x q int64 products, and the last sum read
+    in Python ints. For dim >= 2."""
+    q = len(factors[0])
+    g = np.arange(q)
+    diffs = []
+    for f in factors:
+        cells = np.flatnonzero(f)
+        table = np.zeros(2 * q, dtype=np.int64)  # x - y + q lies in [1, 2q - 1]
+        for i in range(0, len(cells), 256):
+            table += np.bincount(np.subtract.outer(cells[i : i + 256] + q, cells).ravel(), minlength=2 * q)
+        diffs.append(table[:q] + table[q:])
+
+    def by_square(table):
+        out = np.zeros(q, dtype=np.int64)
+        np.add.at(out, g * g % q, table)
+        return out
+
+    heads = [by_square(table) for table in diffs[:-1]]
+    total = heads[0]
+    for head in heads[1:]:  # total[s] = sum_u head[u] total[s - u]
+        total = np.concatenate([total[(rows[:, None] - g) % q] @ head for rows in np.array_split(g, -(-q // 256))])
+    counts = []
+    for kind, t in quadrics:
+        last = diffs[-1] if kind == "paraboloid" else by_square(diffs[-1])[(t - g) % q]
+        counts.append(sum(int(x) * int(y) for x, y in zip(total.tolist(), last.tolist())))
+    return counts
+
+
+class TestProductTables:
+    """The exact product count against an oracle that shares none of its
+    code, on random factors the difference-class count refused."""
+
+    @pytest.mark.parametrize("q, d", [(101, 2), (211, 2), (4099, 2), (16411, 2), (101, 3), (401, 3), (2053, 3),
+                                      (53, 4), (101, 4)])
+    def test_equals_oracle(self, q, d):
+        rng = np.random.default_rng(7 * q + d)
+        quadrics = [("paraboloid", 0), ("sphere", 0), ("sphere", int(rng.integers(1, q)))]
+        for density in (0.5, 0.1):
+            factors = tuple(rng.random(q) < density for _ in range(d))
+            e = FFSet(q=q, dim=d, factors=factors)
+            counts = [ff_pair_count(e, FFSet(q=q, dim=d, quadric=quadric)) for quadric in quadrics]
+            assert all(type(count) is int for count in counts)
+            assert counts == oracle_product_pairs(factors, quadrics), density
+
+    @pytest.mark.parametrize("q, d, count", [(4099, 4, 934146100880), (16411, 5, 259981278792281615),
+                                             (25693, 6, 7134975919330172074351)])
+    def test_top_rung_pins(self, q, d, count):
+        # the exact counts of the top ff-sharpness rungs, as the difference-class count gave them
+        assert ff_pair_count(sharpness_set(q, 0.1, d), ff_paraboloid(q, d)) == count
+
+    def test_all_ones_autocorrelation(self):
+        # the widest span and the largest entries: the FFT must round to w - |g| exactly
+        q = 25693
+        corr = _autocorrelation(np.ones(q, dtype=np.bool_))
+        assert corr.dtype == np.int64 and np.array_equal(corr, q - np.arange(q))
+
+    def test_autocorrelation_over_the_span(self):
+        assert _autocorrelation(np.zeros(7, dtype=np.bool_)).size == 0
+        cells = np.zeros(11, dtype=np.bool_)
+        cells[[3, 4, 8]] = True
+        assert _autocorrelation(cells).tolist() == [3, 1, 0, 0, 1, 1]
 
 
 class TestSharpness:

@@ -375,6 +375,21 @@ class TestCrossover:
             assert params["crossover_valid_window"] == str(rep.inside_validity_window).lower()
 
 
+    @pytest.mark.parametrize("delta", [1 / 3, 0.4, 0.5])
+    def test_no_lattice_total_at_or_below_dim_over_2(self, delta):
+        # s = 2 - 3 delta / 2 <= 3/2: the scan records the crossover as null
+        # and still fits its slope; the public report keeps refusing
+        series = run_experiment("mattila3-incidence", delta=delta, ladder=[1, 2, 3])
+        params = dict(series.params)
+        assert json.loads(params["s"]) == 2 - 1.5 * delta
+        for key in ("crossover_mattila_wins", "crossover_predicted", "crossover_valid_window"):
+            assert params[key] == "null"
+        assert series.verdict in ("pass", "fail") and series.fitted_slope > 0
+        assert parse_series(emit(series, "json")) == series
+        with pytest.raises(ParameterError, match="s must exceed dim/2"):
+            mattila_lattice_crossover(3, 1, delta=delta)
+
+
 class TestEmit:
     @pytest.fixture()
     def series(self):

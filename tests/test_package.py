@@ -111,6 +111,17 @@ class TestLazyLoading:
                            "                 '--ladder', '64,128,256']) == 0")
         assert rec["ran"] == ["latticecount", "harness"]
 
+    def test_ffield_runs_no_incidence(self):
+        # the exact product count is ffield's own mod-q tables, not the band kernel's head classes
+        rec = loaded_after("from incidence_lab import cli\n"
+                           "assert cli.main(['ffield', '--q', '401', '--d', '3', '--set', 'sharpness',\n"
+                           "                 '--pair-with', 'paraboloid']) == 0")
+        assert rec["ran"] == ["ffield"]
+        assert '"pair_count": 2958166' in rec["out"]
+        rec = loaded_after("from incidence_lab import cli\n"
+                           "assert cli.main(['scan', '--experiment', 'ff-sharpness', '--d', '3']) == 0")
+        assert rec["ran"] == ["ffield", "harness"]
+
     def test_first_attribute_read_runs_the_layer(self):
         rec = loaded_after("import incidence_lab\n"
                            "print(incidence_lab.ball_count(2, 10).count)")
