@@ -168,6 +168,8 @@ def _cmd_incidence(args) -> int:
 
 def _cmd_energy(args) -> int:
     if args.decompose:
+        if args.generator not in (None, "valtr"):
+            raise ParameterError(f"--decompose splits the valtr set only, not --generator {args.generator}")
         rep = _call(energy.energy_decomposition, args)
         gen_name, params = "valtr", _params_string(pointsets.gen_valtr, args)
     elif args.cube_constant:

@@ -135,7 +135,7 @@ def _column_floats(nums, den: int) -> np.ndarray:
     rounds correctly; so does NumPy's division of exact floats)."""
     import numpy as np
 
-    if den < 2**53 and all(abs(v) < 2**53 for v in nums):
+    if den < 2**53 and (not nums or -(2**53) < min(nums) and max(nums) < 2**53):
         return np.asarray(nums, dtype=np.float64) / den
     return np.asarray([v / den for v in nums], dtype=np.float64)
 

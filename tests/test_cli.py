@@ -90,6 +90,15 @@ class TestIncidence:
         assert (code, err) == (0, "")
         assert json.loads(out)["count"] == 0
 
+    @pytest.mark.parametrize("t", ["1e-20", "1e-300"])
+    def test_cell_grid_at_tiny_t(self, capsys, t):
+        # the lattice above is counted by float difference classes; the
+        # row-built Lenz set goes over cells, whose side is floored at 2^-60
+        code, out, err = run(capsys, "incidence", "--mode", "annulus", "--generator", "lenz", "--N", "8",
+                             "--t", t, "--method", "grid")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["count"] == 0
+
     def test_falconer(self, capsys):
         code, out, _ = run(capsys, "incidence", "--mode", "falconer",
                            "--n", "2", "--d", "2", "--s", "1.4")
@@ -125,6 +134,12 @@ class TestEnergy:
         obj = json.loads(out)
         assert code == 0
         assert obj["self_term"] == cube_self_energy(2, 1.4) and obj["cross_term"] is not None
+
+    @pytest.mark.parametrize("generator", ["lenz", "lattice"])
+    def test_decompose_refuses_other_generators(self, capsys, generator):
+        argv = ["energy", "--generator", generator, "--N", "8", "--k", "3", "--n", "3", "--d", "2", "--s", "1.4"]
+        assert run(capsys, *argv, "--decompose") == (
+            1, "", f"error: --decompose splits the valtr set only, not --generator {generator}\n")
 
     def test_decompose_ignores_seed(self, capsys):
         argv = ["energy", "--generator", "valtr", "--n", "3", "--d", "2", "--s", "1.4", "--decompose"]

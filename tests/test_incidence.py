@@ -24,8 +24,10 @@ from incidence_lab import (
     gen_mattila3,
     gen_valtr,
 )
+from incidence_lab import incidence
 from incidence_lab.energy import _brute_pair_sum
 from incidence_lab.incidence import (
+    _MAX_PRODUCT_CLASSES,
     _PRUNE_PAIRS,
     _TILE_BYTES,
     _annulus_brute,
@@ -34,6 +36,7 @@ from incidence_lab.incidence import (
     _band_count,
     _band_limits,
     _brute_valtr_cap_counts,
+    _float_band_classes,
     _grid_runs,
     _map_upper_tiles,
     _runs_r2,
@@ -45,6 +48,12 @@ def random_pointset(rng, dim, n, den=64):
     while len(rows) < n:
         rows.add(tuple(int(v) for v in rng.integers(-den, den + 1, size=dim)))
     return PointSet(dim=dim, denominators=(den,) * dim, numerators=tuple(sorted(rows)))
+
+
+def cells(pset, g, t, eps):
+    """The cell grid's count on the float points of ``pset``: what ``grid``
+    counts for a row-built set, and for a product set past the class limit."""
+    return _annulus_grid(pset.to_floats(), g, t, eps)
 
 
 class TestExactValtr:
@@ -137,6 +146,7 @@ class TestAnnulus:
         assert want == 8560
         for method in ("brute", "grid"):
             assert annulus_incidences(gen_valtr(5, 3), g, 1.0, 0.0, method=method).count == want
+        assert cells(gen_valtr(5, 3), g, 1.0, 0.0) == want
 
     def test_grid_equals_brute_randomized(self):
         rng = np.random.default_rng(2024)
@@ -215,6 +225,7 @@ class TestGridPrune:
             (gen_lattice(4, 2), 1e-300, 1e-300, 0),
         ]:
             counts = {m: annulus_incidences(pset, g, t, eps, method=m).count for m in ("grid", "brute", "classes")}
+            counts["cells"] = cells(pset, g, t, eps)
             assert len(set(counts.values())) == 1, (t, eps, counts)
             assert want is None or counts["grid"] == want, (t, eps, counts)
 
@@ -267,6 +278,7 @@ class TestGridPrune:
         # test_lattice_edge_ties); pinned so the prune cannot move it
         p = gen_lattice(12, 2)
         assert annulus_incidences(p, Gauge(EUCLIDEAN, 2), 0.5, 0.05, method="grid").count == 1696
+        assert cells(p, Gauge(EUCLIDEAN, 2), 0.5, 0.05) == 1696
 
     def test_prune_peak(self):
         # 1792 occupied cells in 28 heads: the prune holds arrays over the
@@ -276,12 +288,13 @@ class TestGridPrune:
         eps = pset.n_points ** (-1.0 / 1.48)
         tracemalloc.start()
         try:
-            count = annulus_incidences(pset, Gauge(EUCLIDEAN, 2), 1.0, eps, method="grid").count
+            count = cells(pset, Gauge(EUCLIDEAN, 2), 1.0, eps)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert count == 608216
         assert peak < 20 * 2**20
+        assert annulus_incidences(pset, Gauge(EUCLIDEAN, 2), 1.0, eps, method="grid").count == count
 
     def test_mattila2_paraboloid_pin(self):
         # the grid and brute float decisions agree with the exact count here
@@ -289,7 +302,8 @@ class TestGridPrune:
         eps = pset.n_points ** (-1.0 / 1.48)
         g = Gauge(PARABOLOID_BODY, 2)
         counts = {m: annulus_incidences(pset, g, 1.0, eps, method=m).count for m in ("grid", "brute", "classes")}
-        assert counts == {"grid": 225864, "brute": 225864, "classes": 225864}
+        counts["cells"] = cells(pset, g, 1.0, eps)
+        assert counts == {"grid": 225864, "brute": 225864, "classes": 225864, "cells": 225864}
 
     @pytest.mark.parametrize("kind", [EUCLIDEAN, PARABOLOID_BODY])
     @pytest.mark.parametrize(
@@ -348,6 +362,117 @@ class TestGridPrune:
             brute = annulus_incidences(pset, g, t, eps, method="brute").count
             assert brute > 0
             assert annulus_incidences(pset, g, t, eps, method="grid").count == brute, (t, eps)
+
+
+class TestFloatBandClasses:
+    """``grid`` counts a product set by float difference classes: every
+    pair must get the float decision that the brute tiles and the cells
+    make on the same r^2 and last-axis gap."""
+
+    DENS = (12, 97, 2**40 + 1, 74667277912751870010242)
+
+    @staticmethod
+    def axis(rng, den):
+        """1 to 8 distinct numerators in [-den, den]; past 2^53 sometimes
+        neighbours, which share one float, so float gaps of 0 join the
+        pairs a = b."""
+        k = rng.randint(1, 8)
+        if den > 2**53 and rng.random() < 0.3:
+            base = rng.randint(-den, den - 8)
+            return tuple(base + i for i in sorted(rng.sample(range(8), k)))
+        nums = set()
+        while len(nums) < k:
+            nums.add(rng.randint(-den, den))
+        return tuple(sorted(nums))
+
+    @staticmethod
+    def pair_value(kind, x, y):
+        """The float value the band test reads for the pair (x, y), in the
+        order of _fill_r2 and _body_gauge."""
+        r2 = 0.0
+        for a, b in zip(x[: len(x) - (kind == PARABOLOID_BODY)], y):
+            r2 += (b - a) * (b - a)
+        if kind == EUCLIDEAN:
+            return math.sqrt(r2)
+        gap = abs(y[-1] - x[-1])
+        return (math.sqrt(r2 * 4.0 + gap * gap) + gap) * 0.5
+
+    def test_equals_brute_on_random_product_sets(self):
+        rng = random.Random(28)
+        hits = 0
+        for trial in range(60):
+            dim = rng.randint(2, 4)
+            dens = tuple(rng.choice(self.DENS) for _ in range(dim))
+            pset = PointSet(dim=dim, denominators=dens, axes=tuple(self.axis(rng, den) for den in dens))
+            pts = pset.to_floats().tolist()
+            for kind in (EUCLIDEAN, PARABOLOID_BODY):
+                g = Gauge(kind, dim)
+                # t is the float value of a random pair, so that bands with eps = 0 hold pairs
+                t = self.pair_value(kind, rng.choice(pts), rng.choice(pts)) or rng.uniform(0.1, 2.0)
+                eps = rng.choice([0.0, 0.0, 1e-12, 0.01, rng.uniform(0.0, 1.0)])
+                brute = annulus_incidences(pset, g, t, eps, method="brute").count
+                grid = annulus_incidences(pset, g, t, eps, method="grid").count
+                assert grid == brute == cells(pset, g, t, eps), (trial, pset, kind, t, eps)
+                hits += eps == 0.0 and brute > 0
+        assert hits >= 10
+
+    def test_every_float_value_of_a_4d_product_set(self):
+        # a band at each value the float pairs take, eps = 0: the head of
+        # three axes must be summed in _fill_r2's order to hold the same pairs
+        rng = random.Random(5)
+        axes = tuple(tuple(sorted(rng.sample(range(-97, 98), 3))) for _ in range(4))
+        pset = PointSet(dim=4, denominators=(97,) * 4, axes=axes)
+        pts = pset.to_floats().tolist()
+        for kind in (EUCLIDEAN, PARABOLOID_BODY):
+            g = Gauge(kind, 4)
+            values = {self.pair_value(kind, x, y) for x in pts for y in pts} - {0.0}
+            assert len(values) > 200
+            for t in sorted(values):
+                brute = annulus_incidences(pset, g, t, 0.0, method="brute").count
+                assert brute > 0 and annulus_incidences(pset, g, t, 0.0, method="grid").count == brute, (kind, t)
+
+    def test_counts_past_the_occupied_cell_limit(self):
+        # cells of side t/64 hold one point each, 22,500 in all, which the
+        # cells refuse; pinned from the brute method
+        pset = gen_lattice(150, 2)
+        with pytest.raises(CapacityError):
+            cells(pset, Gauge(EUCLIDEAN, 2), 0.1, 0.0)
+        assert annulus_incidences(pset, Gauge(EUCLIDEAN, 2), 0.1, 0.0, method="grid").count == 50552
+
+    def test_refused_past_max_points(self):
+        # the axes of these 6,284,544 points are small, but grid keeps the
+        # row limit of to_floats, which bounds its pair counts by MAX_POINTS^2
+        pset = gen_mattila2(0.48, 7)
+        with pytest.raises(CapacityError):
+            annulus_incidences(pset, Gauge(EUCLIDEAN, 2), 1.0, 0.01, method="grid")
+
+    def test_axis_past_class_limit_falls_back_to_cells(self):
+        # the first axis has k^2 > _MAX_PRODUCT_CLASSES ordered pairs: its
+        # class table, about 50 MiB to build, is refused before it is built
+        k = math.isqrt(_MAX_PRODUCT_CLASSES) + 1
+        pset = PointSet(dim=2, denominators=(k, 1), axes=(range(k), (0, 1)))
+        g = Gauge(EUCLIDEAN, 2)
+        assert _float_band_classes(pset.axes, pset.denominators, g, 1.0, 0.01) is None
+        tracemalloc.start()
+        try:
+            grid = annulus_incidences(pset, g, 1.0, 0.01, method="grid").count
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grid == annulus_incidences(pset, g, 1.0, 0.01, method="brute").count > 0
+        assert peak < 8 * 2**20
+
+    def test_head_keys_past_class_limit_fall_back_to_cells(self, monkeypatch):
+        # 7 values per axis, 49 ordered pairs, pass a limit of 64; the 17
+        # squared float gaps of each head axis would build 289 head keys
+        monkeypatch.setattr(incidence, "_MAX_PRODUCT_CLASSES", 64)
+        axis = (-64, -32, -8, 0, 4, 16, 64)
+        pset = PointSet(dim=3, denominators=(64, 64, 64), axes=(axis, axis, axis))
+        for kind in (EUCLIDEAN, PARABOLOID_BODY):
+            g = Gauge(kind, 3)
+            assert _float_band_classes(pset.axes, pset.denominators, g, 1.0, 0.25) is None
+            brute = annulus_incidences(pset, g, 1.0, 0.25, method="brute").count
+            assert brute > 0 and annulus_incidences(pset, g, 1.0, 0.25, method="grid").count == brute
 
 
 def two_columns():
@@ -558,6 +683,7 @@ class TestAnnulusClasses:
                 g = Gauge(kind, pset.dim)
                 for t, eps in [(0.25, 0.0), (0.5, 0.125), (1.0, 0.0), (1.0, 0.25)]:
                     counts = {m: annulus_incidences(pset, g, t, eps, m).count for m in ("classes", "brute", "grid")}
+                    counts["cells"] = cells(pset, g, t, eps)
                     assert len(set(counts.values())) == 1, (pset.label, kind, t, eps, counts)
 
     def test_report_method(self):
