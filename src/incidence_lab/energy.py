@@ -8,6 +8,9 @@ under one limit on the work that builds it) against its last axis's gaps; any
 other set over the upper triangle of its pairs in tiles of about 512 KiB, each
 worker holding one r^2 tile and its difference buffer; float64 tile totals are
 added exactly and doubled, so results are bit-identical for any thread count.
+The tiles are those of ``incidence._map_upper_tiles``, filled per pair of point
+segments over only the axes the two segments use (a zero coordinate adds nothing
+to a difference), with every r^2 the float of the full per-axis sum.
 """
 
 from __future__ import annotations
@@ -136,14 +139,16 @@ def cube_self_energy(d: int, s: float) -> float:
 def ball_bound_constant(d: int, s: float) -> float:
     """Closed-form upper bound for the cube self energy: the difference of
     two cube points lies in the ball of radius sqrt(d), and integrating
-    |X|^-s over it gives area(S^(d-1)) * d^((d-s)/2) / (d - s)."""
+    |X|^-s over it gives area(S^(d-1)) * d^((d-s)/2) / (d - s), with
+    area(S^(d-1)) = 2 pi^(d/2) / Gamma(d/2). It is computed in logs, so
+    no factor leaves float range before the bound does (s = 1: from d = 506)."""
     if not (isinstance(d, int) and d >= 1):
         raise ParameterError(f"d must be a positive integer, got {d!r}")
     if s >= d:
         raise DivergenceError(f"ball bound diverges for s >= d")
+    log_area = math.log(2.0) + d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0)
     try:
-        sphere_area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-        return sphere_area * d ** ((d - s) / 2.0) / (d - s)
+        return math.exp(log_area + (d - s) / 2.0 * math.log(d) - math.log(d - s))
     except OverflowError:
         raise ParameterError(f"the ball bound at d={d}, s={s} leaves float range") from None
 

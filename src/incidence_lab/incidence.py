@@ -12,6 +12,13 @@ never build its points. The ``brute`` annulus method decides each
 unordered pair once, in tiles of the upper triangle of about 512 KiB that
 go round robin to a thread pool when asked; each worker holds one r^2 tile
 and its difference buffer, and the count is the same for any thread count.
+A tile is filled block by block: the points are cut, in input order, into
+about 16 segments, neighbours with the same nonzero axes merged, and the
+block of a pair of segments subtracts and squares only the axes both
+segments use, adds each point's square on an axis only one of them uses,
+and skips an axis both leave zero, which sums every r^2 to the float of the
+full per-axis fill (the two circles of ``gen_lenz`` are two segments whose
+cross blocks subtract nothing).
 The ``grid`` method finds the later target cells of each source cell by
 binary search on the sorted cell keys, so it too decides each unordered
 pair once, and counts its candidate pairs in chunks of about 2^16, with the
@@ -54,6 +61,7 @@ ALL_CAPS = (UPPER, LOWER, RIDGE)
 _PB_INNER = math.sqrt(3.0) / 2.0
 
 _TILE_BYTES = 1 << 19  # one r^2 tile and its difference buffer fit in L2
+_SEGMENTS = 16  # point segments whose nonzero axes a brute tile's blocks read
 _MAX_OCCUPIED_CELLS = 20_000
 _PRUNE_PAIRS = 1 << 18  # (source cell, head) pairs per block of the grid prune
 _MIN_CELL = 2.0**-60  # a coordinate in [-1, 1] over this keeps its cell key inside int64
@@ -146,6 +154,48 @@ def _fill_r2(out: np.ndarray, buf: np.ndarray, src, cols: np.ndarray) -> None:
             out += np.multiply(buf, buf, out=buf)
 
 
+def _support_segments(cols: np.ndarray) -> list[tuple[int, int, frozenset]]:
+    """(start, stop, axes) for runs of points in input order, cols holding one
+    row per axis: about _SEGMENTS equal segments, each with the axes that are
+    nonzero at some point of it, neighbours with the same axes merged."""
+    n = cols.shape[1]
+    bounds = sorted({i * n // _SEGMENTS for i in range(_SEGMENTS + 1)})
+    nonzero = np.logical_or.reduceat(cols != 0, bounds[:-1], axis=1)
+    segments = []
+    for start, stop, used in zip(bounds, bounds[1:], nonzero.T):
+        axes = frozenset(np.flatnonzero(used).tolist())
+        if segments and segments[-1][2] == axes:
+            start = segments.pop()[0]
+        segments.append((start, stop, axes))
+    return segments
+
+
+def _fill_block(out: np.ndarray, buf: np.ndarray, cols, sq, x: slice, x_axes, y: slice, y_axes) -> None:
+    """out[i, j] = |y_j - x_i|^2 as _fill_r2 sums it, for the points x and y
+    (slices of cols, one row per axis, and of sq, their squares) with nonzero
+    coordinates on x_axes and y_axes only. Axes are added in order; one zero on
+    both sides adds +0.0 and is skipped, one zero on one side only adds the other
+    side's square, as fl(0 - v)^2 = v^2, and while every axis so far was one
+    sided for the same side the partial sums stay one per point."""
+    part = None  # the sum so far: a row or column of per-point sums, or out
+    for k in sorted(x_axes | y_axes):
+        if k in x_axes and k in y_axes:
+            np.subtract(cols[k, y], cols[k, x, None], out=buf)
+            if part is None:
+                part = np.multiply(buf, buf, out=out)
+                continue
+            term = np.multiply(buf, buf, out=buf)
+        else:
+            term = sq[k, x, None] if k in x_axes else sq[k, None, y]
+            if part is None:
+                part = term
+                continue
+        full = np.broadcast_shapes(part.shape, term.shape) == out.shape
+        part = np.add(part, term, out=out if full else None)
+    if part is not out:
+        out[...] = 0.0 if part is None else part
+
+
 def _map_upper_tiles(fn, pts: np.ndarray, threads: int) -> list:
     """fn(r2, i0, i1) for each tile of rows i0..i1 against columns i0..N-1,
     with r2[i - i0, j - i0] = |p_j - p_i|^2 and inf where j <= i: each
@@ -153,21 +203,33 @@ def _map_upper_tiles(fn, pts: np.ndarray, threads: int) -> list:
     both ways round. A tile holds about _TILE_BYTES (one row when a row is
     larger), so the boundaries depend on N only; tiles go round robin to
     ``threads`` workers, each with one reused r^2 and difference buffer,
-    and the results come back in no fixed order."""
+    and the results come back in no fixed order. Each tile is filled block
+    by block, one block per pair of _support_segments: a block subtracts and
+    squares only the axes both its sides use, adds the per-point squares of
+    the axes one side uses, and skips the rest, which gives every entry the
+    float of _fill_r2 over all axes."""
     n, bounds = len(pts), [0]
     while bounds[-1] < n:
         bounds.append(min(n, bounds[-1] + max(1, _TILE_BYTES // 8 // (n - bounds[-1]))))
     tiles = list(zip(bounds, bounds[1:]))
     cols = np.ascontiguousarray(pts.T)
+    sq, segments = cols * cols, _support_segments(cols)
     size = max((i1 - i0) * (n - i0) for i0, i1 in tiles)
     lower = np.tri(max(i1 - i0 for i0, i1 in tiles), dtype=bool)
+
+    def clip(lo, hi):
+        return [(slice(max(a, lo), min(b, hi)), axes) for a, b, axes in segments if a < hi and b > lo]
 
     def work(w):
         r2_buf, diff_buf, out = np.empty(size), np.empty(size), []
         for i0, i1 in tiles[w::threads]:
             rows, shape = i1 - i0, (i1 - i0, n - i0)
             r2 = r2_buf[: rows * shape[1]].reshape(shape)
-            _fill_r2(r2, diff_buf[: r2.size].reshape(shape), cols[:, i0:i1, None], cols[:, i0:])
+            for x, x_axes in clip(i0, i1):
+                for y, y_axes in clip(i0, n):
+                    block = r2[x.start - i0 : x.stop - i0, y.start - i0 : y.stop - i0]
+                    buf = diff_buf[: block.size].reshape(block.shape)
+                    _fill_block(block, buf, cols, sq, x, x_axes, y, y_axes)
             np.copyto(r2[:, :rows], np.inf, where=lower[:rows, :rows])
             out.append(fn(r2, i0, i1))
         return out

@@ -169,13 +169,9 @@ def gen_lenz(N: int) -> PointSet:
     _check_size(N, f"gen_lenz(N={N})")
     half = N // 2
     res = ANGLE_RESOLUTION
-    rows = []
-    for k in range(half):
-        theta = 2.0 * math.pi * k / half
-        rows.append((round(math.cos(theta) * res), round(math.sin(theta) * res), 0, 0))
-    for k in range(half):
-        phi = 2.0 * math.pi * k / half
-        rows.append((0, 0, round(math.cos(phi) * res), round(math.sin(phi) * res)))
+    angles = (2.0 * math.pi * k / half for k in range(half))
+    circle = [(round(math.cos(a) * res), round(math.sin(a) * res)) for a in angles]  # shared by both circles
+    rows = [(c, s, 0, 0) for c, s in circle] + [(0, 0, c, s) for c, s in circle]
     return PointSet(dim=4, denominators=(res,) * 4, numerators=tuple(rows), label="lenz")
 
 

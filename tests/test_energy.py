@@ -291,8 +291,14 @@ class TestCubeSelfEnergy:
             assert 0 < cube_self_energy(d, s) < 1
 
     def test_ball_bound_outside_float_range_refused(self):
-        assert 0 < ball_bound_constant(256, 1.0) < math.inf
-        for d in (260, 340, 400, 2000):
+        # computed in logs, the bound is finite up to d = 505 at s = 1; for even d,
+        # Gamma(d/2) = (d/2 - 1)!, so its log is an exact sum of logs, summed apart
+        for d in (256, 260, 340, 400, 504):
+            log_bound = math.fsum([math.log(2.0), d / 2.0 * math.log(math.pi), (d - 1) / 2.0 * math.log(d),
+                                   -math.log(d - 1)] + [-math.log(k) for k in range(2, d // 2)])
+            assert 0 < ball_bound_constant(d, 1.0) < math.inf
+            assert math.log(ball_bound_constant(d, 1.0)) == pytest.approx(log_bound, rel=1e-13)
+        for d in (506, 2000):
             with pytest.raises(ParameterError, match="leaves float range"):
                 ball_bound_constant(d, 1.0)
 

@@ -40,6 +40,7 @@ from incidence_lab.incidence import (
     _grid_runs,
     _map_upper_tiles,
     _runs_r2,
+    _support_segments,
 )
 
 
@@ -598,20 +599,75 @@ class TestPairR2:
             else:
                 assert a is None
 
+    @staticmethod
+    def assert_tiles_match_per_axis_reference(pts, threads):
+        # every r^2 of the upper triangle, bit for bit, against a full-tile sum
+        # over all axes in order; the lower triangle inf
+        n = len(pts)
+        ref = np.zeros((n, n))
+        for k in range(pts.shape[1]):
+            diff = pts[:, k] - pts[:, k, None]
+            ref += diff * diff
+        got = np.full((n, n), np.inf)  # columns j < i0 belong to no tile
+        for i0, tile in _map_upper_tiles(lambda r2, i0, i1: (i0, r2.copy()), pts, threads):
+            got[i0 : i0 + len(tile), i0:] = tile
+        upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+        assert np.array_equal(got[upper].view(np.int64), ref[upper].view(np.int64))
+        assert np.all(got[~upper] == np.inf)
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_upper_tiles_match_per_axis_reference(self, threads):
         rng = np.random.default_rng(threads)
         pts = rng.normal(size=(self.N, 4)) * [1.0, 1e-3, 1e3, 1.0]
-        ref = np.zeros((self.N, self.N))
+        self.assert_tiles_match_per_axis_reference(pts, threads)
+
+    @staticmethod
+    def supported(rng, supports, scale=(1.0, 1e-3, 1e3, 1.0)):
+        # one point per entry of supports, nonzero on those axes only
+        pts = rng.normal(size=(len(supports), 4)) * scale
+        for p, axes in zip(pts, supports):
+            p[[k for k in range(4) if k not in axes]] = 0.0
+        return pts
+
+    @staticmethod
+    def split_tile_sets():
+        rng = np.random.default_rng(29)
+        lenz = gen_lenz(1000).to_floats()  # 1000 points: 16 segments do not divide them
+        halves = TestPairR2.supported(rng, [(0, 1)] * 500 + [(2, 3)] * 500)
+        # runs of 100 points alternate between supports {0, 2} and {1, 3}, so
+        # segments of about 62 points have either support or both
+        interleaved = TestPairR2.supported(rng, ([(0, 2)] * 100 + [(1, 3)] * 100) * 5)
+        zero_axes = []
         for k in range(4):
-            diff = pts[:, k] - pts[:, k, None]
-            ref += diff * diff
-        got = np.full((self.N, self.N), np.inf)  # columns j < i0 belong to no tile
-        for i0, tile in _map_upper_tiles(lambda r2, i0, i1: (i0, r2.copy()), pts, threads):
-            got[i0 : i0 + len(tile), i0:] = tile
-        upper = np.triu(np.ones((self.N, self.N), dtype=bool), k=1)
-        assert np.array_equal(got[upper].view(np.int64), ref[upper].view(np.int64))
-        assert np.all(got[~upper] == np.inf)
+            pts = rng.normal(size=(300, 4))
+            pts[:, k] = 0.0  # an axis zero at every point, first to last
+            zero_axes.append(pts)
+        small = [TestPairR2.supported(rng, [(0, 1)] * (n // 2) + [(2, 3)] * (n - n // 2)) for n in (5, 17)]
+        small += [TestPairR2.supported(rng, [(k % 4,) for k in range(17)])]
+        origin = np.zeros((1, 4))
+        with_zero = [
+            np.vstack([origin, lenz[:300], origin, lenz[500:800]]),
+            np.vstack([small[1][:8], origin, origin, small[1][8:]]),  # segments holding the origin alone
+        ]
+        return [lenz, halves, interleaved, *zero_axes, *small, *with_zero]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_split_tiles_match_per_axis_reference(self, threads):
+        # the blocks of each tile (one per pair of support segments) skip the axes
+        # zero on both sides and add the squares of those zero on one side
+        for pts in self.split_tile_sets():
+            self.assert_tiles_match_per_axis_reference(pts, threads)
+
+    def test_support_segments(self):
+        def segments(pts):
+            return _support_segments(np.ascontiguousarray(pts.T))
+
+        assert segments(gen_lenz(8192).to_floats()) == [(0, 4096, {0, 1}), (4096, 8192, {2, 3})]
+        assert segments(np.random.default_rng(5).normal(size=(8192, 4))) == [(0, 8192, {0, 1, 2, 3})]
+        assert [n for _, n, _ in segments(np.ones((5, 3)))] == [5]
+        origin = np.zeros((17, 2))
+        origin[9:] = 1.0
+        assert segments(origin) == [(0, 9, set()), (9, 17, {0, 1})]
 
     def test_threads_do_not_change_brute_results(self):
         # an odd number of row-built points, over many tiles

@@ -88,6 +88,22 @@ class TestLenz:
             with pytest.raises(ParameterError):
                 gen_lenz(bad)
 
+    @pytest.mark.parametrize("N", [4, 6, 64, 1000, 8192])
+    def test_equals_two_loop_construction(self, N):
+        # one rounded (cos, sin) per angle serves both circles; the set is the
+        # one that two loops, one per circle, each rounding its own, build
+        half, res = N // 2, pointsets.ANGLE_RESOLUTION
+        rows = []
+        for k in range(half):
+            theta = 2.0 * math.pi * k / half
+            rows.append((round(math.cos(theta) * res), round(math.sin(theta) * res), 0, 0))
+        for k in range(half):
+            phi = 2.0 * math.pi * k / half
+            rows.append((0, 0, round(math.cos(phi) * res), round(math.sin(phi) * res)))
+        p = gen_lenz(N)
+        assert p.numerators == tuple(rows)
+        assert p.denominators == (res,) * 4
+
 
 class TestLattice:
     def test_3x3(self):
