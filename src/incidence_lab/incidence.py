@@ -2,7 +2,7 @@
 
 Three counters: exact on-surface incidences for the Valtr grid against
 translates of the paraboloid body, thickness-eps annulus incidences for
-arbitrary point sets (bucketed grid and brute methods that agree exactly,
+arbitrary point sets (box-pruned grid and brute methods that agree exactly,
 and an exact difference-class method for product sets), and the measure
 ratio that drives the thickened-distance-band growth experiment. The exact
 Valtr count, the ``classes`` annulus method and the measure ratio share one
@@ -19,20 +19,21 @@ segments use, adds each point's square on an axis only one of them uses,
 and skips an axis both leave zero, which sums every r^2 to the float of the
 full per-axis fill (the two circles of ``gen_lenz`` are two segments whose
 cross blocks subtract nothing).
-The ``grid`` method finds the later target cells of each source cell by
-binary search on the sorted cell keys, so it too decides each unordered
-pair once, and counts its candidate pairs in chunks of about 2^16, with the
-brute method's r^2 and band test; for the paraboloid body both take r^2
-over the head axes and the last-axis gap. The Euclidean band test compares
-r^2 itself with two float limits, found once per count, that give the same
-decision as comparing sqrt(r^2) with t and t + eps. On a product set
-``grid`` uses no cells: a pair's float r^2 and last-axis gap are sums of
+The ``grid`` method sorts the points into k-d segments of about 64 points
+and fills, with the brute tiles' block fill and band test, each unordered
+pair once, only over the pairs of segments whose float bounding boxes can
+hold a pair in the band; rounding is monotone, so none in the band is
+pruned. For the paraboloid body both methods take r^2 over the head axes
+and the last-axis gap. The Euclidean band test compares r^2 itself with two
+float limits, found once per count, that give the same decision as
+comparing sqrt(r^2) with t and t + eps. On a product set
+``grid`` sorts no points: a pair's float r^2 and last-axis gap are sums of
 per-axis float differences, so it groups the pairs by those floats (per
 axis, then the head sums axis by axis), gives each head class its interval
-of admissible last-axis classes by bisection, and so makes the cells' float
+of admissible last-axis classes by bisection, and so makes the same float
 decision on every pair; an axis or head table past the class limit falls
-back to the cells. An O(N^2) brute Valtr oracle on the same tiles, over the
-integer grid indices, serves the tests.
+back to the segments. An O(N^2) brute Valtr oracle on the same tiles, over
+the integer grid indices, serves the tests.
 
 All pair counts are over ordered pairs.
 """
@@ -55,17 +56,9 @@ from .pointsets import PointSet, _column_floats, gen_valtr
 
 ALL_CAPS = (UPPER, LOWER, RIDGE)
 
-# Euclidean norm of a unit-gauge vector of the paraboloid body lies in
-# [sqrt(3)/2, 1]: the caps meet the axis at distance 1 and the ridge at 1,
-# with the flattest point at |x'|^2 = 1/2. Used for the grid's cell prune.
-_PB_INNER = math.sqrt(3.0) / 2.0
-
 _TILE_BYTES = 1 << 19  # one r^2 tile and its difference buffer fit in L2
 _SEGMENTS = 16  # point segments whose nonzero axes a brute tile's blocks read
-_MAX_OCCUPIED_CELLS = 20_000
-_PRUNE_PAIRS = 1 << 18  # (source cell, head) pairs per block of the grid prune
-_MIN_CELL = 2.0**-60  # a coordinate in [-1, 1] over this keeps its cell key inside int64
-_CHUNK_PAIRS = 1 << 16  # candidate pairs per chunk of the grid count
+_SEGMENT_POINTS = 64  # a k-d segment of the grid count holding more points is split
 _MAX_PRODUCT_CLASSES = 4_000_000
 _INF_BITS = 0x7FF0000000000000  # bit pattern of float64 inf
 
@@ -141,19 +134,6 @@ def exact_valtr_incidences(n: int, d: int, caps=ALL_CAPS, method: str = "exact_i
     )
 
 
-def _fill_r2(out: np.ndarray, buf: np.ndarray, src, cols: np.ndarray) -> None:
-    """out = |y - x|^2 for y in cols (one row per axis) and x in src (one
-    entry per axis, broadcast against that axis's row of cols), summed axis
-    by axis in order through the difference buffer buf; the first axis's
-    square is written as is (0 + x == x)."""
-    for k, (x, col) in enumerate(zip(src, cols)):
-        np.subtract(col, x, out=buf)
-        if k == 0:
-            np.multiply(buf, buf, out=out)
-        else:
-            out += np.multiply(buf, buf, out=buf)
-
-
 def _support_segments(cols: np.ndarray) -> list[tuple[int, int, frozenset]]:
     """(start, stop, axes) for runs of points in input order, cols holding one
     row per axis: about _SEGMENTS equal segments, each with the axes that are
@@ -171,9 +151,10 @@ def _support_segments(cols: np.ndarray) -> list[tuple[int, int, frozenset]]:
 
 
 def _fill_block(out: np.ndarray, buf: np.ndarray, cols, sq, x: slice, x_axes, y: slice, y_axes) -> None:
-    """out[i, j] = |y_j - x_i|^2 as _fill_r2 sums it, for the points x and y
-    (slices of cols, one row per axis, and of sq, their squares) with nonzero
-    coordinates on x_axes and y_axes only. Axes are added in order; one zero on
+    """out[i, j] = |y_j - x_i|^2 summed axis by axis, axis 0 first, for the
+    points x and y (slices of cols, one row per axis, and of sq, their
+    squares) with nonzero coordinates on x_axes and y_axes only; a superset
+    of either gives the same floats. Axes are added in order; one zero on
     both sides adds +0.0 and is skipped, one zero on one side only adds the other
     side's square, as fl(0 - v)^2 = v^2, and while every axis so far was one
     sided for the same side the partial sums stay one per point."""
@@ -207,7 +188,7 @@ def _map_upper_tiles(fn, pts: np.ndarray, threads: int) -> list:
     by block, one block per pair of _support_segments: a block subtracts and
     squares only the axes both its sides use, adds the per-point squares of
     the axes one side uses, and skips the rest, which gives every entry the
-    float of _fill_r2 over all axes."""
+    float of the sum over all axes in order."""
     n, bounds = len(pts), [0]
     while bounds[-1] < n:
         bounds.append(min(n, bounds[-1] + max(1, _TILE_BYTES // 8 // (n - bounds[-1]))))
@@ -296,167 +277,105 @@ def _annulus_brute(pts: np.ndarray, g: Gauge, t: float, eps: float, threads: int
     return 2 * sum(_map_upper_tiles(one, pts[:, :-1] if body else pts, threads))  # r^2 and a are symmetric
 
 
+def _kd_segments(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, bounds): a flat k-d order of the points of cols (one row per
+    axis), segment s holding the points order[bounds[s]:bounds[s + 1]]. A
+    run of more than _SEGMENT_POINTS points is split at the midpoint of its
+    widest axis, the lower side first, so segments near in the order are near
+    in space (Bentley 1975); a run whose midpoint leaves one side empty (all
+    its points within two neighbouring floats on every axis) stays whole."""
+    order, bounds, todo = [], [0], [np.arange(cols.shape[1])]
+    while todo:
+        idx = todo.pop()
+        if len(idx) > _SEGMENT_POINTS:
+            sub = cols.take(idx, axis=1)
+            lo, hi = sub.min(axis=1), sub.max(axis=1)
+            k = int(np.argmax(hi - lo))
+            below = sub[k] < lo[k] + (hi[k] - lo[k]) / 2
+            if below.any() and not below.all():
+                todo += [idx[~below], idx[below]]
+                continue
+        order.append(idx)
+        bounds.append(bounds[-1] + len(idx))
+    return np.concatenate(order), np.array(bounds)
+
+
+def _box_pairs(lo: np.ndarray, hi: np.ndarray, g: Gauge, band, rows: slice) -> np.ndarray:
+    """keep[i, b]: whether segment b >= a = rows.start + i may hold a pair
+    with segment a whose value in _band_count lies in band, given the float
+    bounding boxes of the segments, lo[k, s] <= x_k <= hi[k, s].
+
+    For x in a and y in b, y_k - x_k lies in [lo_b - hi_a, hi_b - lo_a].
+    Correctly rounded -, *, + and sqrt are monotone, so fl(y_k - x_k) lies
+    between the rounded ends, its square between the squares of the least
+    and greatest |fl(y_k - x_k)|, r^2 between those squares summed in
+    _fill_block's order, axis 0 first, and the value _band_count reads (r^2,
+    or _body_gauge of r^2 and the last-axis gap) between the same operations
+    on the bounds. So a pair of segments is dropped only when no pair of
+    their points is in the band, with no slack added."""
+    body, d = g.kind == PARABOLOID_BODY, len(lo)
+
+    def gaps(k):
+        below, above = lo[k, None, :] - hi[k, rows, None], hi[k, None, :] - lo[k, rows, None]
+        return np.maximum(np.maximum(below, -above), 0.0), np.maximum(-below, above)
+
+    v_lo = v_hi = 0.0  # 0.0 + x == x, as _fill_block starts from axis 0
+    for k in range(d - body):
+        near, far = gaps(k)
+        v_lo, v_hi = v_lo + near * near, v_hi + far * far
+    if body:
+        near, far = gaps(d - 1)
+        v_lo, v_hi = _body_gauge(v_lo, near), _body_gauge(v_hi, far)
+    later = np.arange(lo.shape[1]) >= np.arange(rows.start, rows.stop)[:, None]
+    return (v_hi >= band[0]) & (v_lo <= band[1]) & later
+
+
+def _gather_block(cols, x_idx, y_idx, x_axes, y_axes, body: bool, r2_buf, diff_buf):
+    """(r2, a) for the points x_idx (rows) against y_idx (columns) of cols,
+    one row per axis: r2[i, j] = |y_j - x_i|^2 over every axis, or every axis
+    but the last with ``body``, filled by _fill_block over x_axes and y_axes
+    into r2_buf, and a[i, j] = |y_d - x_d| in diff_buf with ``body``, else
+    None. Each point's coordinates are gathered once per block."""
+    sub = cols.take(np.concatenate((x_idx, y_idx)), axis=1)
+    x, y = slice(0, len(x_idx)), slice(len(x_idx), sub.shape[1])
+    r2, buf = (b[: len(x_idx) * len(y_idx)].reshape(len(x_idx), -1) for b in (r2_buf, diff_buf))
+    _fill_block(r2, buf, sub, sub * sub, x, x_axes, y, y_axes)
+    return r2, np.abs(np.subtract(sub[-1, y], sub[-1, x, None], out=buf), out=buf) if body else None
+
+
 def _annulus_grid(pts: np.ndarray, g: Gauge, t: float, eps: float) -> int:
-    """Band count over the candidate pairs of _grid_runs: the ordered pairs
-    inside each cell once, and the pairs of each cell with the later cells
-    twice, as r^2 and a are the same float64 both ways round (see
-    _map_upper_tiles). Membership uses the same r^2 and the same band test
-    as the brute method, hence the counts agree exactly."""
-    by_cell, bounds, same, later = _grid_runs(pts, g, t, eps)
-    band = _band_limits(g, t, eps)
-    count = _runs_band_count(g, by_cell, bounds, *same, band)
-    return count + 2 * sum(_runs_band_count(g, by_cell, bounds, *runs, band) for runs in later)
-
-
-def _grid_runs(pts: np.ndarray, g: Gauge, t: float, eps: float):
-    """(by_cell, bounds, same, later): the points sorted by cell, cell c
-    holding by_cell[bounds[c]:bounds[c + 1]]; the runs (cell, first, stop)
-    of each cell against itself, where every point of cell[r] is a
-    candidate against the points first[r] .. stop[r] - 1 of by_cell; and an
-    iterator of blocks of such runs against the later cells only, so that
-    each unordered pair of distinct cells is decided once.
-
-    Points are bucketed into cells of side h = max(eps, t/64, 2^-60) (the
-    floor keeps the int64 keys of coordinates in [-1, 1] exact), and only
-    pairs whose cells can hold a distance inside the band are kept: two
-    cells whose index gaps are g_k contain points at Euclidean distance
-    between h*sqrt(S_min) and h*sqrt(S_max), S_min = sum max(g_k - 1, 0)^2
-    and S_max = sum (g_k + 1)^2, so everything outside [inner, outer] is
-    pruned. Both float tests are tabulated once over the integer sums, so
-    every prune decision is the one a per-pair float test makes. A gap is
-    clipped at ceil(outer/h) + 2, past which the pair is too far either way
-    (h*sqrt is monotone in S), so the table has about d*68^2 entries at
-    most: outer/h <= 65 since h >= eps and h >= t/64.
-
-    The sorted cell keys fall into heads, runs of cells that share all but
-    the last key, and cell order is head order, then last-key order. For a
-    source cell and a head, both tests are monotone in the last-axis gap, so
-    the admissible gaps form one interval [B, A], tabulated over the head
-    sums; its cells are at most two runs of the head, found by binary
-    search on the keys, and their points two runs of by_cell. In the source
-    cell's own head the head sums are 0 and d - 1 for every cell: the cell
-    itself is a candidate when B = 0 (h*sqrt(d) reaches the band), and the
-    later cells are the gaps max(B, 1) .. A. The later heads are pruned in
-    blocks of about 2^18 (source cell, head) pairs."""
-    d = pts.shape[1]
-    h = max(eps, t / 64.0, _MIN_CELL)
-    inner = t * (_PB_INNER if g.kind == PARABOLOID_BODY else 1.0)
-    outer = t + eps
-    # the points in lexicographic key order, each cell's points in input order
-    keys = np.floor(pts / h).astype(np.int64)
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    bounds = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1), True])
-    keys = keys[bounds[:-1]]
-    n_cells = len(keys)
-    if n_cells > _MAX_OCCUPIED_CELLS:
-        raise CapacityError(f"{n_cells} occupied cells exceed the grid-method limit; use method='brute'")
-    clip = math.ceil(outer / h) + 2
-    gaps = np.arange(clip + 1)
-    sq_min, sq_max = (np.maximum(gaps - 1, 0) ** 2).astype(np.int32), ((gaps + 1) ** 2).astype(np.int32)
-    sums = np.sqrt(np.arange(d * (clip + 1) ** 2 + 1))
-    close, far = h * sums <= outer, h * sums >= inner
-    # close holds up to s_close and far from s_far on, so for head sums
-    # S_min and S_max the last-axis gaps g with close[S_min + sq_min[g]] are
-    # 0..A and those with far[S_max + sq_max[g]] are B.. on
-    s_close, s_far = np.count_nonzero(close) - 1, np.argmax(far)
-    head_sums = np.arange((d - 1) * (clip + 1) ** 2 + 1)
-    top_of = (np.searchsorted(sq_min, s_close - head_sums, side="right") - 1).astype(np.int32)
-    bot_of = np.searchsorted(sq_max, s_far - head_sums).astype(np.int32)
-    # the heads, each cell's head, and each cell's rank in (head, last key) order
-    starts = np.flatnonzero(np.r_[True, np.any(keys[1:, :-1] != keys[:-1, :-1], axis=1)])
-    n_heads, heads, last = len(starts), keys[starts, :-1], keys[:, -1]
-    head_lo, head_hi = last[starts], last[np.r_[starts[1:], n_cells] - 1]
-    head_of = np.repeat(np.arange(n_heads), np.diff(np.r_[starts, n_cells]))
-    values = np.unique(last)
-    rank = head_of * len(values) + np.searchsorted(values, last)
-
-    def head_run(cell, head, lo, hi):
-        """Points of the cells of ``head`` whose last key lies in [lo, hi]."""
-        base = head * len(values)
-        first = np.searchsorted(rank, base + np.searchsorted(values, lo))
-        stop = np.searchsorted(rank, base + np.searchsorted(values, hi, side="right"))
-        return cell, bounds[first], bounds[stop]
-
-    cells = np.arange(n_cells)
-    own_top, own_bot = top_of[0], bot_of[d - 1]  # A and B of a cell against its own head
-    same = cells if own_bot == 0 else cells[:0]
-
-    def later():
-        cell, first, stop = head_run(cells, head_of, last + max(own_bot, 1), last + own_top)
-        keep = stop > first
-        yield cell[keep], first[keep], stop[keep]
-        c0 = 0
-        while c0 < n_cells and head_of[c0] + 1 < n_heads:
-            h0 = head_of[c0] + 1  # the heads after the block's first cell
-            c1 = min(n_cells, c0 + max(1, _PRUNE_PAIRS // (n_heads - h0)))
-            s_min = np.zeros((c1 - c0, n_heads - h0), np.int32)
-            s_max = s_min.copy()
-            for k in range(d - 1):
-                gap = np.subtract(heads[None, h0:, k], keys[c0:c1, None, k])
-                np.minimum(np.abs(gap, out=gap), clip, out=gap)
-                s_min += sq_min.take(gap)
-                s_max += sq_max.take(gap)
-            top, bot = top_of.take(s_min), bot_of.take(s_max)  # A and B
-            # keep the heads after the source cell's whose last keys, less
-            # the source cell's, reach into -A..-B or B..A
-            lo, hi = head_lo[h0:] - last[c0:c1, None], head_hi[h0:] - last[c0:c1, None]
-            reach = ((lo <= -bot) & (hi >= -top)) | ((hi >= bot) & (lo <= top))
-            after = np.arange(h0, n_heads) > head_of[c0:c1, None]
-            pick = np.flatnonzero(reach & (top >= bot) & after)
-            cell, head = pick // (n_heads - h0) + c0, pick % (n_heads - h0) + h0
-            top, bot, mid = top.ravel().take(pick), bot.ravel().take(pick), last[cell]
-            # gaps -A..-B and B..A, merged into one run -A..A when B = 0
-            runs = [
-                head_run(cell, head, mid - top, np.where(bot == 0, mid + top, mid - bot)),
-                head_run(cell, head, mid + np.where(bot == 0, top + 1, bot), mid + top),
-            ]
-            cell, first, stop = (np.concatenate(v) for v in zip(*runs))
-            keep = stop > first
-            yield cell[keep], first[keep], stop[keep]
-            c0 = c1
-
-    return pts[order], bounds, (same, bounds[same], bounds[same + 1]), later()
-
-
-def _runs_band_count(g, by_cell, bounds, cell, first, stop, band) -> int:
-    """Band count over the pairs of each point of cell[r] with the points
-    first[r] .. stop[r] - 1 of by_cell, cell c holding
-    by_cell[bounds[c]:bounds[c + 1]]. The runs are grouped by the point
-    count s of their source cell, and each chunk of about 2^16 pairs is one
-    s x n block of runs side by side (_runs_r2)."""
-    cols, body = np.ascontiguousarray(by_cell.T), g.kind == PARABOLOID_BODY
-    s_of = np.diff(bounds)[cell]
-    order = np.argsort(s_of, kind="stable")
-    s_of, src, first, lens = s_of[order], bounds[cell[order]], first[order], (stop - first)[order]
-    ends = np.cumsum(lens * s_of)
-    group_end = np.searchsorted(s_of, s_of, side="right")
-    count, i = 0, 0
-    while i < len(s_of):
-        base = ends[i - 1] if i else 0
-        j = max(i + 1, min(group_end[i], np.searchsorted(ends, base + _CHUNK_PAIRS, side="right")))
-        # r2 and a stay bound while the next chunk is built: freeing them first was twice as slow
-        r2, a = _runs_r2(cols, s_of[i], src[i:j], first[i:j], lens[i:j], body)
-        count += _band_count(g, r2, a, band)
-        i = j
-    return count
-
-
-def _runs_r2(cols, s, src, first, lens, body):
-    """(r2, a) for runs r of target points first[r] .. first[r] + lens[r] -
-    1, side by side, each against the s source points src[r] .. src[r] + s -
-    1, all indices into cols (one row per axis): r2[i, j] = |y - x|^2 for the
-    target y of column j and the i-th source point x of its run, filled by
-    _fill_r2, and a = None; with ``body`` (the paraboloid body) r2 over all
-    axes but the last and a[i, j] = |y_d - x_d|. Targets are gathered once
-    per column and sources once per run."""
-    ends = np.cumsum(lens)
-    tgt = np.repeat(first - ends + lens, lens) + np.arange(ends[-1])
-    x = np.repeat(cols.take(src + np.arange(s)[:, None], axis=1), lens, axis=2)
-    y = cols.take(tgt, axis=1)
-    r2, buf = np.empty((s, len(tgt))), np.empty((s, len(tgt)))
-    _fill_r2(r2, buf, x[: len(x) - body], y[: len(y) - body])
-    return r2, np.abs(np.subtract(y[-1], x[-1], out=buf), out=buf) if body else None
+    """The band count of _annulus_brute, on the same float r^2 and last-axis
+    gap, over the pairs of k-d segments (_kd_segments) whose float bounding
+    boxes can hold a pair in the band (_box_pairs, tabulated for blocks of
+    segment rows of about _TILE_BYTES each). The points of the kept segments
+    b >= a of each segment a are filled against a's own (_gather_block) in
+    blocks of about _TILE_BYTES, or one segment square, over the axes those
+    segments use, with j <= i set to inf where a meets itself, so each
+    unordered pair is decided once and the count is doubled, as in
+    _map_upper_tiles."""
+    body, d = g.kind == PARABOLOID_BODY, pts.shape[1]
+    cols = np.ascontiguousarray(pts.T)
+    order, bounds = _kd_segments(cols)
+    cols, starts, sizes = cols.take(order, axis=1), bounds[:-1], np.diff(bounds)
+    lo, hi = np.minimum.reduceat(cols, starts, axis=1), np.maximum.reduceat(cols, starts, axis=1)
+    used = np.logical_or.reduceat(cols[: d - body] != 0, starts, axis=1).T
+    band, n_seg, top = _band_limits(g, t, eps), len(starts), int(sizes.max())
+    size = max(top * top, _TILE_BYTES // 8)
+    r2_buf, diff_buf, lower = np.empty(size), np.empty(size), np.tri(top, dtype=bool)
+    count, step = 0, max(1, _TILE_BYTES // 8 // n_seg)
+    for a0 in range(0, n_seg, step):
+        for a, kept in enumerate(_box_pairs(lo, hi, g, band, slice(a0, min(n_seg, a0 + step))), a0):
+            if not kept.any():
+                continue
+            own, tgt = np.arange(bounds[a], bounds[a + 1]), np.flatnonzero(np.repeat(kept, sizes))
+            x_axes, y_axes = (frozenset(np.flatnonzero(u).tolist()) for u in (used[a], used[kept].any(axis=0)))
+            width = size // len(own)
+            for y0 in range(0, len(tgt), width):
+                r2, gap = _gather_block(cols, own, tgt[y0 : y0 + width], x_axes, y_axes, body, r2_buf, diff_buf)
+                if y0 == 0 and kept[a]:  # the block opens with segment a against itself
+                    np.copyto(r2[:, : len(own)], np.inf, where=lower[: len(own), : len(own)])
+                count += _band_count(g, r2, gap, band)
+    return 2 * count  # r^2 and a are symmetric
 
 
 def _even_step(axis) -> int | None:
@@ -608,16 +527,16 @@ def _float_band_classes(axes, denominators, g: Gauge, t: float, eps: float) -> i
     """The ``grid`` count of the product of ``axes`` by float difference
     classes, or None when a class table would pass the class limit.
 
-    A pair's float r^2 is _fill_r2's sum of the per-axis fl(y_k - x_k)^2 of
-    the ``to_floats`` values, axis 0 first, and for the paraboloid body the
+    A pair's float r^2 is _fill_block's sum of the per-axis fl(y_k - x_k)^2
+    of the ``to_floats`` values, axis 0 first, and for the paraboloid body the
     last axis gives a = |fl(y_d - x_d)| instead. So the ordered pairs group
     by value: per axis into _float_gap_classes, then the head sums axis by
-    axis with np.add.outer, each step adding in _fill_r2's order and
+    axis with np.add.outer, each step adding in _fill_block's order and
     regrouping (head classes S with pair counts M). For each S the value the
     band test reads, fl(S + q) or _body_gauge(S, a), is monotone in the last
     axis's value, so the admissible last-axis classes are one index
     interval, found by bisection for all S at once. Every pair gets the float
-    decision of the cell grid and the brute tiles, on the same r^2 and a.
+    decision of the k-d segments and the brute tiles, on the same r^2 and a.
     The pair count of each axis and the keys each head step builds are
     checked against the class limit before they are allocated."""
     body = g.kind == PARABOLOID_BODY
@@ -665,9 +584,10 @@ def annulus_incidences(
     coordinates and count the same pairs; ``grid`` counts a product set
     (one built from ``axes``) by float difference classes
     (_float_band_classes), and any other set, or a product set whose class
-    tables would pass the class limit, over occupied cells. ``classes``
-    counts a product set by difference classes in exact integer arithmetic,
-    with t and eps taken as the exact rationals of their values.
+    tables would pass the class limit, over the pairs of k-d segments whose
+    float bounding boxes can hold a pair in the band (_annulus_grid).
+    ``classes`` counts a product set by difference classes in exact integer
+    arithmetic, with t and eps taken as the exact rationals of their values.
     ``threads`` applies to ``brute`` only."""
     if P.n_points == 0:
         raise InputError("empty point set")

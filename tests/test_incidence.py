@@ -26,20 +26,21 @@ from incidence_lab import (
 )
 from incidence_lab import incidence
 from incidence_lab.energy import _brute_pair_sum
+from incidence_lab.gauge import _body_gauge
 from incidence_lab.incidence import (
     _MAX_PRODUCT_CLASSES,
-    _PRUNE_PAIRS,
     _TILE_BYTES,
     _annulus_brute,
     _annulus_classes,
     _annulus_grid,
     _band_count,
     _band_limits,
+    _box_pairs,
     _brute_valtr_cap_counts,
     _float_band_classes,
-    _grid_runs,
+    _gather_block,
+    _kd_segments,
     _map_upper_tiles,
-    _runs_r2,
     _support_segments,
 )
 
@@ -51,10 +52,19 @@ def random_pointset(rng, dim, n, den=64):
     return PointSet(dim=dim, denominators=(den,) * dim, numerators=tuple(sorted(rows)))
 
 
-def cells(pset, g, t, eps):
-    """The cell grid's count on the float points of ``pset``: what ``grid``
+def boxes(pset, g, t, eps):
+    """The box-pruned count on the float points of ``pset``: what ``grid``
     counts for a row-built set, and for a product set past the class limit."""
     return _annulus_grid(pset.to_floats(), g, t, eps)
+
+
+def segment_boxes(pts):
+    """(sorted points, segment bounds, per-axis lo, hi) of the k-d segments
+    that the box-pruned count reads."""
+    order, bounds = _kd_segments(np.ascontiguousarray(pts.T))
+    pts = pts[order]
+    lo, hi = (f.reduceat(pts.T, bounds[:-1], axis=1) for f in (np.minimum, np.maximum))
+    return pts, bounds, lo, hi
 
 
 class TestExactValtr:
@@ -147,7 +157,7 @@ class TestAnnulus:
         assert want == 8560
         for method in ("brute", "grid"):
             assert annulus_incidences(gen_valtr(5, 3), g, 1.0, 0.0, method=method).count == want
-        assert cells(gen_valtr(5, 3), g, 1.0, 0.0) == want
+        assert boxes(gen_valtr(5, 3), g, 1.0, 0.0) == want
 
     def test_grid_equals_brute_randomized(self):
         rng = np.random.default_rng(2024)
@@ -208,14 +218,14 @@ class TestAnnulus:
 
 
 class TestGridPrune:
-    """The grid method prunes cell pairs by a table over the integer sums of
-    squared cell gaps; every prune decision, and so every count, must be the
-    one the per-pair float test makes, which the brute method shares."""
+    """The grid method prunes pairs of k-d segments by float bounds on their
+    pairs' values; no pruned pair of segments may hold a pair that the
+    per-pair float test, which the brute method shares, puts in the band."""
 
     @pytest.mark.parametrize("kind", [EUCLIDEAN, PARABOLOID_BODY])
     def test_tiny_t_keeps_cell_keys_in_int64(self, kind):
-        # cells of side t/64 put the key of a coordinate 1 past int64 below
-        # t = 2^-57; the side is floored at 2^-60
+        # bands far below the spacing of the points, down to 1e-300; the
+        # boxes' bounds are float differences, with no scale or key to overflow
         steps = PointSet(dim=2, denominators=(2**62, 2**62), axes=((0, 1, 2**62), (0, 1)))
         g = Gauge(kind, 2)
         for pset, t, eps, want in [
@@ -226,20 +236,21 @@ class TestGridPrune:
             (gen_lattice(4, 2), 1e-300, 1e-300, 0),
         ]:
             counts = {m: annulus_incidences(pset, g, t, eps, method=m).count for m in ("grid", "brute", "classes")}
-            counts["cells"] = cells(pset, g, t, eps)
+            counts["boxes"] = boxes(pset, g, t, eps)
             assert len(set(counts.values())) == 1, (t, eps, counts)
             assert want is None or counts["grid"] == want, (t, eps, counts)
 
     @pytest.mark.parametrize("kind", [EUCLIDEAN, PARABOLOID_BODY])
-    def test_equals_brute_over_several_prune_blocks(self, kind):
-        # one point per cell of side t/64 = 1/128, on a 1/64 lattice
-        pset = random_pointset(np.random.default_rng(77), 2, 2500)
-        n_cells = len(np.unique(np.floor(pset.to_floats() * 128), axis=0))
-        assert n_cells**2 > 4 * _PRUNE_PAIRS
-        g = Gauge(kind, 2)
-        for t, eps in [(0.5, 0.0), (0.5, 0.05), (1.3, 0.01)]:
-            brute = annulus_incidences(pset, g, t, eps, method="brute").count
-            assert annulus_incidences(pset, g, t, eps, method="grid").count == brute, (t, eps)
+    def test_equals_brute_over_several_prune_blocks(self, kind, monkeypatch):
+        # with 2 KiB tiles the box table of these points is built over
+        # several blocks of segment rows, each of 256 // n_seg rows
+        pset, g = random_pointset(np.random.default_rng(77), 2, 2500), Gauge(kind, 2)
+        bands = [(0.5, 0.0), (0.5, 0.05), (1.3, 0.01)]
+        brute = [annulus_incidences(pset, g, t, eps, method="brute").count for t, eps in bands]
+        monkeypatch.setattr(incidence, "_TILE_BYTES", 2048)
+        n_seg = len(segment_boxes(pset.to_floats())[1]) - 1
+        assert n_seg > 4 * max(1, 256 // n_seg)
+        assert [boxes(pset, g, t, eps) for t, eps in bands] == brute
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_equals_brute_on_far_apart_clusters(self, dim):
@@ -279,17 +290,16 @@ class TestGridPrune:
         # test_lattice_edge_ties); pinned so the prune cannot move it
         p = gen_lattice(12, 2)
         assert annulus_incidences(p, Gauge(EUCLIDEAN, 2), 0.5, 0.05, method="grid").count == 1696
-        assert cells(p, Gauge(EUCLIDEAN, 2), 0.5, 0.05) == 1696
+        assert boxes(p, Gauge(EUCLIDEAN, 2), 0.5, 0.05) == 1696
 
     def test_prune_peak(self):
-        # 1792 occupied cells in 28 heads: the prune holds arrays over the
-        # 50k (source cell, head) pairs, not over all 3.2M cell pairs, and
-        # the count holds one chunk of about 2^16 candidate pairs
+        # 10,336 points in 256 segments: the count holds one 256 x 256 box
+        # table and blocks of about 512 KiB, not the 10^8 ordered pairs
         pset = gen_mattila2(0.48, 4)
         eps = pset.n_points ** (-1.0 / 1.48)
         tracemalloc.start()
         try:
-            count = cells(pset, Gauge(EUCLIDEAN, 2), 1.0, eps)
+            count = boxes(pset, Gauge(EUCLIDEAN, 2), 1.0, eps)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -303,8 +313,8 @@ class TestGridPrune:
         eps = pset.n_points ** (-1.0 / 1.48)
         g = Gauge(PARABOLOID_BODY, 2)
         counts = {m: annulus_incidences(pset, g, 1.0, eps, method=m).count for m in ("grid", "brute", "classes")}
-        counts["cells"] = cells(pset, g, 1.0, eps)
-        assert counts == {"grid": 225864, "brute": 225864, "classes": 225864, "cells": 225864}
+        counts["boxes"] = boxes(pset, g, 1.0, eps)
+        assert counts == {"grid": 225864, "brute": 225864, "classes": 225864, "boxes": 225864}
 
     @pytest.mark.parametrize("kind", [EUCLIDEAN, PARABOLOID_BODY])
     @pytest.mark.parametrize(
@@ -315,10 +325,12 @@ class TestGridPrune:
             ("lenz", 1.0, 0.05),
             ("lattice3", 0.5, 0.05),
             ("columns", 0.5, 0.05),
-            ("columns", 0.01, 0.3),  # cells of side 0.3 hold candidate pairs inside them
+            ("columns", 0.01, 0.3),  # the band holds pairs inside one segment
         ],
     )
     def test_candidates_equal_all_cell_pairs_prune(self, name, t, eps, kind):
+        # every band pair, found by the brute tiles over all pairs, lies in a
+        # pair of segments that the box table keeps
         pset = {
             "mattila2": lambda: gen_mattila2(0.48, 4),
             "lenz": lambda: gen_lenz(1024),
@@ -327,14 +339,43 @@ class TestGridPrune:
         }[name]()
         if eps is None:
             eps = pset.n_points ** (-1.0 / 1.48)
-        pts = pset.to_floats()
-        want = all_cell_pairs_candidates(pts, kind, t, eps)
-        assert grid_candidates(pts, kind, t, eps) == want
-        if name == "mattila2":
-            assert want == {EUCLIDEAN: 5873152, PARABOLOID_BODY: 17893732}[kind]
+        pts, bounds, lo, hi = segment_boxes(pset.to_floats())
+        g, n_seg = Gauge(kind, pts.shape[1]), len(bounds) - 1
+        band = _band_limits(g, t, eps)
+        keep = _box_pairs(lo, hi, g, band, slice(0, n_seg))
+        if name != "columns":  # three segments, whose every pair meets the band
+            assert keep.sum() < n_seg * (n_seg + 1) // 2
+        segment = np.repeat(np.arange(n_seg), np.diff(bounds))
+        body, last = kind == PARABOLOID_BODY, pts[:, -1]
+
+        def band_pairs(r2, i0, i1):
+            v = _body_gauge(r2, np.abs(last[i0:] - last[i0:i1, None])) if body else r2
+            i, j = np.nonzero((v >= band[0]) & (v <= band[1]))
+            return segment[i + i0], segment[j + i0]
+
+        pairs = _map_upper_tiles(band_pairs, pts[:, :-1] if body else pts, 1)
+        a, b = (np.concatenate(v) for v in zip(*pairs))
+        assert len(a) > 0 and keep[a, b].all()
+
+    def test_every_float_value_of_a_4d_row_set(self, monkeypatch):
+        # a band at each value the float pairs take, eps = 0, over one-point
+        # segments, whose box bounds are the pair values themselves: the
+        # bounds must be summed in _fill_block's order to keep every pair
+        monkeypatch.setattr(incidence, "_SEGMENT_POINTS", 1)
+        rng, dens = random.Random(30), (97, 89, 83, 79)
+        rows = {tuple(rng.randint(-den, den) for den in dens) for _ in range(24)}
+        pset = PointSet(dim=4, denominators=dens, numerators=tuple(sorted(rows)))
+        pts = pset.to_floats().tolist()
+        for kind in (EUCLIDEAN, PARABOLOID_BODY):
+            g = Gauge(kind, 4)
+            values = {TestFloatBandClasses.pair_value(kind, x, y) for x in pts for y in pts} - {0.0}
+            assert len(values) > 200
+            for t in sorted(values):
+                brute = annulus_incidences(pset, g, t, 0.0, method="brute").count
+                assert brute > 0 and boxes(pset, g, t, 0.0) == brute, (kind, t)
 
     def test_equals_brute_in_one_dimension(self):
-        # a 1-D set is one head; the kernels read the gauge for its kind only
+        # the kernels read the gauge for its kind only
         x = np.unique(np.random.default_rng(1).integers(-500, 501, 300)) / 250.0
         pts, g = x[:, None], Gauge(EUCLIDEAN, 2)
         for t, eps in [(1.0, 0.05), (0.5, 0.0), (0.01, 0.3)]:
@@ -343,8 +384,8 @@ class TestGridPrune:
 
     @pytest.mark.parametrize("kind", [EUCLIDEAN, PARABOLOID_BODY])
     def test_equals_brute_across_columns(self, kind):
-        # between the columns the last-axis gaps run from 0 (B = 0, one
-        # merged run of target cells); within a column from about t/h (two runs)
+        # two lines of points: boxes on one line are thin, so the box
+        # bounds meet the band both within a line and across the lines
         pset, g = two_columns(), Gauge(kind, 2)
         for t, eps in [(0.5, 0.05), (0.5, 0.0), (0.25, 0.1)]:
             brute = annulus_incidences(pset, g, t, eps, method="brute").count
@@ -352,23 +393,24 @@ class TestGridPrune:
             assert annulus_incidences(pset, g, t, eps, method="grid").count == brute, (t, eps)
 
     @pytest.mark.parametrize("kind", [EUCLIDEAN, PARABOLOID_BODY])
-    def test_equals_brute_over_several_head_blocks(self, kind):
-        # one point per cell of side 1/128 on a 1/64 lattice, almost every
-        # cell its own head: several blocks of (source cell, head) pairs
-        pset = random_pointset(np.random.default_rng(78), 3, 1200)
-        keys = np.unique(np.floor(pset.to_floats() * 128), axis=0)
-        assert len(keys) * len(np.unique(keys[:, :-1], axis=0)) > 3 * _PRUNE_PAIRS
-        g = Gauge(kind, 3)
-        for t, eps in [(0.5, 0.05), (0.75, 0.0)]:
-            brute = annulus_incidences(pset, g, t, eps, method="brute").count
-            assert brute > 0
-            assert annulus_incidences(pset, g, t, eps, method="grid").count == brute, (t, eps)
+    def test_equals_brute_over_several_head_blocks(self, kind, monkeypatch):
+        # with 32 KiB tiles the kept points of a segment are filled in blocks
+        # of 4096 // 64 or more columns, several for most segments here
+        pset, g = random_pointset(np.random.default_rng(78), 3, 1200), Gauge(kind, 3)
+        bands = [(0.5, 0.05), (0.75, 0.0)]
+        brute = [annulus_incidences(pset, g, t, eps, method="brute").count for t, eps in bands]
+        monkeypatch.setattr(incidence, "_TILE_BYTES", 1 << 15)
+        _, bounds, lo, hi = segment_boxes(pset.to_floats())
+        keep = _box_pairs(lo, hi, g, _band_limits(g, *bands[0]), slice(0, len(bounds) - 1))
+        kept_points = keep @ np.diff(bounds)
+        assert (kept_points > 3 * 4096 // np.diff(bounds)).mean() > 0.5
+        assert min(brute) > 0 and [boxes(pset, g, t, eps) for t, eps in bands] == brute
 
 
 class TestFloatBandClasses:
     """``grid`` counts a product set by float difference classes: every
-    pair must get the float decision that the brute tiles and the cells
-    make on the same r^2 and last-axis gap."""
+    pair must get the float decision that the brute tiles and the box-pruned
+    segments make on the same r^2 and last-axis gap."""
 
     DENS = (12, 97, 2**40 + 1, 74667277912751870010242)
 
@@ -389,7 +431,7 @@ class TestFloatBandClasses:
     @staticmethod
     def pair_value(kind, x, y):
         """The float value the band test reads for the pair (x, y), in the
-        order of _fill_r2 and _body_gauge."""
+        order of _fill_block and _body_gauge."""
         r2 = 0.0
         for a, b in zip(x[: len(x) - (kind == PARABOLOID_BODY)], y):
             r2 += (b - a) * (b - a)
@@ -413,7 +455,7 @@ class TestFloatBandClasses:
                 eps = rng.choice([0.0, 0.0, 1e-12, 0.01, rng.uniform(0.0, 1.0)])
                 brute = annulus_incidences(pset, g, t, eps, method="brute").count
                 grid = annulus_incidences(pset, g, t, eps, method="grid").count
-                assert grid == brute == cells(pset, g, t, eps), (trial, pset, kind, t, eps)
+                assert grid == brute == boxes(pset, g, t, eps), (trial, pset, kind, t, eps)
                 hits += eps == 0.0 and brute > 0
         assert hits >= 10
 
@@ -433,12 +475,21 @@ class TestFloatBandClasses:
                 assert brute > 0 and annulus_incidences(pset, g, t, 0.0, method="grid").count == brute, (kind, t)
 
     def test_counts_past_the_occupied_cell_limit(self):
-        # cells of side t/64 hold one point each, 22,500 in all, which the
-        # cells refuse; pinned from the brute method
-        pset = gen_lattice(150, 2)
-        with pytest.raises(CapacityError):
-            cells(pset, Gauge(EUCLIDEAN, 2), 0.1, 0.0)
-        assert annulus_incidences(pset, Gauge(EUCLIDEAN, 2), 0.1, 0.0, method="grid").count == 50552
+        # 22,500 points, which the removed cell grid refused, in 512
+        # segments: the box table is built over blocks of 128 segment rows
+        # (one 512 x 512 table would take 2 MiB per array), and the count,
+        # pinned from the brute method, holds a few MiB
+        pset, g = gen_lattice(150, 2), Gauge(EUCLIDEAN, 2)
+        n_seg = len(segment_boxes(pset.to_floats())[1]) - 1
+        assert n_seg > 2 * (_TILE_BYTES // 8 // n_seg)
+        tracemalloc.start()
+        try:
+            count = boxes(pset, g, 0.1, 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 50552 and peak < 8 * 2**20
+        assert annulus_incidences(pset, g, 0.1, 0.0, method="grid").count == 50552
 
     def test_refused_past_max_points(self):
         # the axes of these 6,284,544 points are small, but grid keeps the
@@ -480,41 +531,6 @@ def two_columns():
     """65 points on each of the lines x = 0 and x = 1/2, at y = k/64."""
     rows = [(x, y) for x in (0, 32) for y in range(-32, 33)]
     return PointSet(dim=2, denominators=(64, 64), numerators=tuple(rows))
-
-
-def all_cell_pairs_candidates(pts, kind, t, eps):
-    """Candidate pairs of a plain prune over all pairs of occupied cells of
-    side h = max(eps, t/64): a cell pair with index gaps g_k is kept when
-    h*sqrt(S_min) <= t + eps and h*sqrt(S_max) >= inner, S_min = sum
-    max(g_k - 1, 0)^2 and S_max = sum (g_k + 1)^2, and counts the product
-    of the two point counts."""
-    h = max(eps, t / 64.0)
-    inner = t * (math.sqrt(3.0) / 2.0 if kind == PARABOLOID_BODY else 1.0)
-    keys, sizes = np.unique(np.floor(pts / h).astype(np.int64), axis=0, return_counts=True)
-    total = 0
-    for a in range(0, len(keys), 256):
-        gap = np.abs(keys[None, :, :] - keys[a : a + 256, None, :])
-        s_min = (np.maximum(gap - 1, 0) ** 2).sum(axis=2)
-        s_max = ((gap + 1) ** 2).sum(axis=2)
-        near = (h * np.sqrt(s_min) <= t + eps) & (h * np.sqrt(s_max) >= inner)
-        total += int((sizes[a : a + 256, None] * sizes[None, :])[near].sum())
-    return total
-
-
-def grid_candidates(pts, kind, t, eps):
-    """Ordered candidate pairs the grid method stands for: twice the pairs
-    it evaluates against later cells, plus the ordered pairs inside each
-    cell. Checks that every run of the first kind lies after its source
-    cell, and every run of the second kind is the source cell itself."""
-    _, bounds, same, later = _grid_runs(pts, Gauge(kind, pts.shape[1]), t, eps)
-    sizes = np.diff(bounds)
-    cell, first, stop = same
-    assert np.array_equal(first, bounds[cell]) and np.array_equal(stop, bounds[cell + 1])
-    cross = 0
-    for cell, first, stop in later:
-        assert (first >= bounds[cell + 1]).all() and (stop > first).all()
-        cross += int((sizes[cell] * (stop - first)).sum())
-    return 2 * cross + int((sizes[same[0]] ** 2).sum())
 
 
 def band_oracle(pset, kind, t, eps):
@@ -577,17 +593,19 @@ class TestPairR2:
 
     @pytest.mark.parametrize("n_src", [1, TILE - 1, TILE + 1, 2048])
     def test_tiles_match_per_axis_reference(self, n_src):
-        # the grid's r^2 over target runs side by side, against the n_src
-        # points of one source cell; for the paraboloid body r^2 over the
-        # head axes and the last-axis gaps a
+        # the grid's block of the n_src points of one segment against the
+        # gathered points of the segments it keeps; for the paraboloid body
+        # r^2 over the head axes and the last-axis gaps a
         rng = np.random.default_rng(n_src)
         tgt = rng.normal(size=(self.N, 4)) * [1.0, 1e-3, 1e3, 1.0]
         src = tgt[rng.integers(0, self.N, n_src)] + rng.normal(size=(n_src, 4)) * 1e-9
         cols = np.ascontiguousarray(np.vstack([tgt, src]).T)
         first, lens = np.array([0, 450, 500, 999]), np.array([300, 1, 499, 1])
         picked = np.concatenate([np.arange(f, f + n) for f, n in zip(first, lens)])
+        bufs = np.empty(n_src * len(picked)), np.empty(n_src * len(picked))
         for body in (False, True):
-            r2, a = _runs_r2(cols, n_src, np.full(len(lens), self.N), first, lens, body)
+            axes = frozenset(range(4 - body))
+            r2, a = _gather_block(cols, np.arange(self.N, self.N + n_src), picked, axes, axes, body, *bufs)
             ref = np.zeros((n_src, len(picked)))
             for k in range(3 if body else 4):
                 diff = tgt[picked, k] - src[:, k, None]
@@ -739,7 +757,7 @@ class TestAnnulusClasses:
                 g = Gauge(kind, pset.dim)
                 for t, eps in [(0.25, 0.0), (0.5, 0.125), (1.0, 0.0), (1.0, 0.25)]:
                     counts = {m: annulus_incidences(pset, g, t, eps, m).count for m in ("classes", "brute", "grid")}
-                    counts["cells"] = cells(pset, g, t, eps)
+                    counts["boxes"] = boxes(pset, g, t, eps)
                     assert len(set(counts.values())) == 1, (pset.label, kind, t, eps, counts)
 
     def test_report_method(self):
