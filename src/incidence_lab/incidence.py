@@ -2,13 +2,14 @@
 
 Three counters: exact on-surface incidences for the Valtr grid against
 translates of the paraboloid body, thickness-eps annulus incidences for
-arbitrary point sets (box-pruned grid and brute methods that agree exactly,
-and an exact difference-class method for product sets), and the measure
-ratio that drives the thickened-distance-band growth experiment. The exact
-Valtr count, the ``classes`` annulus method and the measure ratio share one
-band kernel over the per-axis gap multisets of a product set, in pure
-integer arithmetic; the Valtr counters read the axes of ``gen_valtr`` and
-never build its points. The ``brute`` annulus method decides each
+arbitrary point sets (an exact difference-class method for product sets, a
+float64 brute method, and a grid method that is the exact count on a product
+set and the brute count on any other), and the measure ratio that drives the
+thickened-distance-band growth experiment. The exact Valtr count, the
+``classes`` annulus method, ``grid`` on a product set and the measure ratio
+share one band kernel over the per-axis gap multisets of a product set, in
+pure integer arithmetic; the Valtr counters read the axes of ``gen_valtr``
+and never build its points. The ``brute`` annulus method decides each
 unordered pair once, in tiles of the upper triangle of about 512 KiB that
 go round robin to a thread pool when asked; each worker holds one r^2 tile
 and its difference buffer, and the count is the same for any thread count.
@@ -19,21 +20,16 @@ segments use, adds each point's square on an axis only one of them uses,
 and skips an axis both leave zero, which sums every r^2 to the float of the
 full per-axis fill (the two circles of ``gen_lenz`` are two segments whose
 cross blocks subtract nothing).
-The ``grid`` method sorts the points into k-d segments of about 64 points
+On a row-built set, or a product set past the band kernel's class limit,
+the ``grid`` method sorts the points into k-d segments of about 64 points
 and fills, with the brute tiles' block fill and band test, each unordered
 pair once, only over the pairs of segments whose float bounding boxes can
 hold a pair in the band; rounding is monotone, so none in the band is
 pruned. For the paraboloid body both methods take r^2 over the head axes
 and the last-axis gap. The Euclidean band test compares r^2 itself with two
 float limits, found once per count, that give the same decision as
-comparing sqrt(r^2) with t and t + eps. On a product set
-``grid`` sorts no points: a pair's float r^2 and last-axis gap are sums of
-per-axis float differences, so it groups the pairs by those floats (per
-axis, then the head sums axis by axis), gives each head class its interval
-of admissible last-axis classes by bisection, and so makes the same float
-decision on every pair; an axis or head table past the class limit falls
-back to the segments. An O(N^2) brute Valtr oracle on the same tiles, over
-the integer grid indices, serves the tests.
+comparing sqrt(r^2) with t and t + eps. An O(N^2) brute Valtr oracle on
+the same tiles, over the integer grid indices, serves the tests.
 
 All pair counts are over ordered pairs.
 """
@@ -41,10 +37,12 @@ All pair counts are over ordered pairs.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 
@@ -52,7 +50,7 @@ import numpy as np
 
 from .errors import CapacityError, InputError, ParameterError
 from .gauge import EUCLIDEAN, LOWER, PARABOLOID_BODY, RIDGE, UPPER, Gauge, _body_gauge
-from .pointsets import PointSet, _column_floats, gen_valtr
+from .pointsets import PointSet, gen_valtr
 
 ALL_CAPS = (UPPER, LOWER, RIDGE)
 
@@ -475,7 +473,10 @@ def _annulus_classes(axes, denominators, kind: str, t, eps) -> tuple[int, int]:
     *head_dens, L = denominators
     Q, r2 = _head_classes(head, head_dens)
     count = _gap_counter(last)
-    (tn, td), (hn, hd) = Fraction(t).as_integer_ratio(), (Fraction(t) + Fraction(eps)).as_integer_ratio()
+    # a real that Fraction does not take, numpy's float32 say, is read
+    # through its float, which holds it exactly
+    t, eps = (Fraction(v if isinstance(v, (numbers.Rational, Decimal)) else float(v)) for v in (t, eps))
+    (tn, td), (hn, hd) = t.as_integer_ratio(), (t + eps).as_integer_ratio()
     zero = rest = 0
     for r, m in r2.items():
         # (t^2 - r^2) = lo_num / (td^2 Q) and (h^2 - r^2) = hi_num / (hd^2 Q)
@@ -500,75 +501,6 @@ def _annulus_classes(axes, denominators, kind: str, t, eps) -> tuple[int, int]:
     return zero * len(last), rest
 
 
-def _float_gap_classes(values: np.ndarray, square: bool) -> tuple[np.ndarray, np.ndarray]:
-    """fl(b - a)^2 with ``square``, else |fl(b - a)|, over the ordered pairs
-    (a, b) of the float values of one axis, as the grid's r^2 and a read
-    them: (the distinct results in increasing order, their int64 pair
-    counts). fl(b - a) = -fl(a - b), so each unordered pair is read once and
-    counted twice, and the pairs a = b give 0."""
-    diff = np.subtract.outer(values, values)[np.tri(len(values), k=-1, dtype=bool)]
-    v = np.r_[0.0, np.multiply(diff, diff, out=diff) if square else np.abs(diff, out=diff)]
-    v.sort()  # the pairs a = b first; a float 0 of distinct exact values joins them
-    starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
-    counts = 2 * np.diff(np.r_[starts, len(v)])
-    counts[0] += len(values) - 2
-    return v[starts], counts
-
-
-def _group(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(the distinct values in increasing order, the sum of counts over each)."""
-    order = np.argsort(values)
-    values = values[order]
-    starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
-    return values[starts], np.add.reduceat(counts[order], starts)
-
-
-def _float_band_classes(axes, denominators, g: Gauge, t: float, eps: float) -> int | None:
-    """The ``grid`` count of the product of ``axes`` by float difference
-    classes, or None when a class table would pass the class limit.
-
-    A pair's float r^2 is _fill_block's sum of the per-axis fl(y_k - x_k)^2
-    of the ``to_floats`` values, axis 0 first, and for the paraboloid body the
-    last axis gives a = |fl(y_d - x_d)| instead. So the ordered pairs group
-    by value: per axis into _float_gap_classes, then the head sums axis by
-    axis with np.add.outer, each step adding in _fill_block's order and
-    regrouping (head classes S with pair counts M). For each S the value the
-    band test reads, fl(S + q) or _body_gauge(S, a), is monotone in the last
-    axis's value, so the admissible last-axis classes are one index
-    interval, found by bisection for all S at once. Every pair gets the float
-    decision of the k-d segments and the brute tiles, on the same r^2 and a.
-    The pair count of each axis and the keys each head step builds are
-    checked against the class limit before they are allocated."""
-    body = g.kind == PARABOLOID_BODY
-    if any(len(ax) ** 2 > _MAX_PRODUCT_CLASSES for ax in axes):
-        return None
-    *head, last = (_column_floats(ax, den) for ax, den in zip(axes, denominators))
-    sums, mult = _float_gap_classes(head[0], True)
-    for values in head[1:]:
-        squares, pairs = _float_gap_classes(values, True)
-        if len(sums) * len(squares) > _MAX_PRODUCT_CLASSES:
-            return None
-        sums, mult = _group(np.add.outer(sums, squares).ravel(), np.multiply.outer(mult, pairs).ravel())
-    last, pairs = _float_gap_classes(last, not body)
-    prefix = np.r_[0, np.cumsum(pairs)]
-
-    def first(pred):
-        """Per head class, the least index j of ``last`` with pred(value),
-        or len(last) when there is none; pred is monotone along ``last``."""
-        lo, hi = np.zeros(len(sums), np.int64), np.full(len(sums), len(last))
-        while (open_ := lo < hi).any():
-            mid = (lo + hi) // 2
-            q = last[np.minimum(mid, len(last) - 1)]
-            ok = pred(_body_gauge(sums.copy(), q) if body else sums + q)
-            hi, lo = np.where(open_ & ok, mid, hi), np.where(open_ & ~ok, mid + 1, lo)
-        return lo
-
-    # band_hi >= band_lo, or the two are adjacent floats; either way hi >= lo
-    band_lo, band_hi = _band_limits(g, t, eps)
-    lo, hi = first(lambda v: v >= band_lo), first(lambda v: v > band_hi)
-    return int(np.dot(mult, prefix[hi] - prefix[lo]))
-
-
 def annulus_incidences(
     P: PointSet,
     g: Gauge,
@@ -580,15 +512,14 @@ def annulus_incidences(
     """Ordered pairs (x, y), x != y, with t <= ||x - y|| <= t + eps (both
     endpoints closed).
 
-    ``brute`` and ``grid`` evaluate the gauge in float64 on ``to_floats``
-    coordinates and count the same pairs; ``grid`` counts a product set
-    (one built from ``axes``) by float difference classes
-    (_float_band_classes), and any other set, or a product set whose class
-    tables would pass the class limit, over the pairs of k-d segments whose
-    float bounding boxes can hold a pair in the band (_annulus_grid).
-    ``classes`` counts a product set by difference classes in exact integer
-    arithmetic, with t and eps taken as the exact rationals of their values.
-    ``threads`` applies to ``brute`` only."""
+    ``classes`` counts a product set (one built from ``axes``) by difference
+    classes in exact integer arithmetic, with t and eps taken as the exact
+    rationals of their values. ``brute`` evaluates the gauge in float64 on
+    ``to_floats`` coordinates. ``grid`` gives the ``classes`` count on a
+    product set, and on any other set, or a product set past the class
+    limit, the ``brute`` count, over the pairs of k-d segments whose float
+    bounding boxes can hold a pair in the band (_annulus_grid). ``threads``
+    applies to ``brute`` only."""
     if P.n_points == 0:
         raise InputError("empty point set")
     if g.dim != P.dim:
@@ -601,15 +532,17 @@ def annulus_incidences(
         raise ParameterError("threads must be >= 1")
     if method == "brute":
         count = _annulus_brute(P.to_floats(), g, float(t), float(eps), threads)
-    elif method == "grid":
-        P._check_rows()  # the limit of to_floats, which bounds the ordered pairs by MAX_POINTS^2
-        count = None if P.axes is None else _float_band_classes(P.axes, P.denominators, g, float(t), float(eps))
-        if count is None:
-            count = _annulus_grid(P.to_floats(), g, float(t), float(eps))
-    elif method == "classes":
+    elif method == "grid" and P.axes is None:
+        count = _annulus_grid(P.to_floats(), g, float(t), float(eps))
+    elif method in ("grid", "classes"):
         if P.axes is None:
             raise ParameterError("method 'classes' needs a product set built from axes")
-        count = sum(_annulus_classes(P.axes, P.denominators, g.kind, t, eps))
+        try:
+            count = sum(_annulus_classes(P.axes, P.denominators, g.kind, t, eps))
+        except CapacityError:
+            if method == "classes":
+                raise
+            count = _annulus_grid(P.to_floats(), g, float(t), float(eps))
     else:
         raise ParameterError(f"unknown method {method!r}")
     return IncidenceReport(

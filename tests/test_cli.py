@@ -92,7 +92,7 @@ class TestIncidence:
 
     @pytest.mark.parametrize("t", ["1e-20", "1e-300"])
     def test_cell_grid_at_tiny_t(self, capsys, t):
-        # the lattice above is counted by float difference classes; the
+        # the lattice above is counted exactly by difference classes; the
         # row-built Lenz set goes over box-pruned k-d segments
         code, out, err = run(capsys, "incidence", "--mode", "annulus", "--generator", "lenz", "--N", "8",
                              "--t", t, "--method", "grid")

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -37,12 +38,17 @@ from incidence_lab.incidence import (
     _band_limits,
     _box_pairs,
     _brute_valtr_cap_counts,
-    _float_band_classes,
     _gather_block,
     _kd_segments,
     _map_upper_tiles,
     _support_segments,
 )
+from incidence_lab.pointsets import MAX_POINTS
+
+
+# the fewest values of an unevenly spaced axis whose k(k - 1)/2 gaps pass
+# the class limit
+UNEVEN_AXIS_VALUES = next(k for k in range(2, 10**4) if k * (k - 1) // 2 > _MAX_PRODUCT_CLASSES)
 
 
 def random_pointset(rng, dim, n, den=64):
@@ -56,6 +62,18 @@ def boxes(pset, g, t, eps):
     """The box-pruned count on the float points of ``pset``: what ``grid``
     counts for a row-built set, and for a product set past the class limit."""
     return _annulus_grid(pset.to_floats(), g, t, eps)
+
+
+def pair_value(kind, x, y):
+    """The float value the band test reads for the pair (x, y), in the
+    order of _fill_block and _body_gauge."""
+    r2 = 0.0
+    for a, b in zip(x[: len(x) - (kind == PARABOLOID_BODY)], y):
+        r2 += (b - a) * (b - a)
+    if kind == EUCLIDEAN:
+        return math.sqrt(r2)
+    gap = abs(y[-1] - x[-1])
+    return (math.sqrt(r2 * 4.0 + gap * gap) + gap) * 0.5
 
 
 def segment_boxes(pts):
@@ -147,17 +165,19 @@ class TestAnnulus:
         assert rep.count >= 64
 
     def test_body_band_reads_gauge_values(self):
-        # brute and grid decide the band on the float gauge of gauge_values,
-        # with no Euclidean prefilter: the 400 ridge pairs of (5, 3), gaps
-        # (3/5, 4/5, 0) in some order, have gauge 1.0 in float, and 200 of
-        # them have a float |y - x|^2 just above 1
+        # brute and the box-pruned segments decide the band on the float
+        # gauge of gauge_values, with no Euclidean prefilter: the 400 ridge
+        # pairs of (5, 3), gaps (3/5, 4/5, 0) in some order, have gauge 1.0
+        # in float, and 200 of them have a float |y - x|^2 just above 1;
+        # grid counts this product set exactly, as classes does
         pts = gen_valtr(5, 3).to_floats()
         g = Gauge(PARABOLOID_BODY, 3)
         want = int((gauge_values(g, pts[None, :, :] - pts[:, None, :]) == 1.0).sum())
         assert want == 8560
-        for method in ("brute", "grid"):
-            assert annulus_incidences(gen_valtr(5, 3), g, 1.0, 0.0, method=method).count == want
+        assert annulus_incidences(gen_valtr(5, 3), g, 1.0, 0.0, method="brute").count == want
         assert boxes(gen_valtr(5, 3), g, 1.0, 0.0) == want
+        exact = {m: annulus_incidences(gen_valtr(5, 3), g, 1.0, 0.0, method=m).count for m in ("grid", "classes")}
+        assert exact == {"grid": 9344, "classes": 9344}
 
     def test_grid_equals_brute_randomized(self):
         rng = np.random.default_rng(2024)
@@ -215,6 +235,14 @@ class TestAnnulus:
             annulus_incidences(p, g, 1.0, -0.1)
         with pytest.raises(ParameterError):
             annulus_incidences(p, Gauge(EUCLIDEAN, 3), 1.0, 0.1)
+
+    @pytest.mark.parametrize("method", ["brute", "grid", "classes"])
+    def test_numpy_float32_band(self, method):
+        # a float32 t or eps is counted at its exact value, which its float holds
+        p, g = gen_lattice(12, 2), Gauge(EUCLIDEAN, 2)
+        t, eps = np.float32(0.5), np.float32(0.05)
+        want = annulus_incidences(p, g, float(t), float(eps), method=method).count
+        assert annulus_incidences(p, g, t, eps, method=method).count == want > 0
 
 
 class TestGridPrune:
@@ -286,11 +314,13 @@ class TestGridPrune:
         assert annulus_incidences(gen_lenz(n), Gauge(kind, 4), t, eps, method="grid").count == count
 
     def test_lattice_float_count_pin(self):
-        # the float decision misses edge ties: the exact count is 1744 (see
-        # test_lattice_edge_ties); pinned so the prune cannot move it
-        p = gen_lattice(12, 2)
-        assert annulus_incidences(p, Gauge(EUCLIDEAN, 2), 0.5, 0.05, method="grid").count == 1696
-        assert boxes(p, Gauge(EUCLIDEAN, 2), 0.5, 0.05) == 1696
+        # the segments' float decision misses edge ties: pinned so the prune
+        # cannot move it; grid counts this product set exactly (see
+        # test_lattice_edge_ties)
+        p, g = gen_lattice(12, 2), Gauge(EUCLIDEAN, 2)
+        assert boxes(p, g, 0.5, 0.05) == 1696
+        exact = {m: annulus_incidences(p, g, 0.5, 0.05, method=m).count for m in ("grid", "classes")}
+        assert exact == {"grid": 1744, "classes": 1744}
 
     def test_prune_peak(self):
         # 10,336 points in 256 segments: the count holds one 256 x 256 box
@@ -368,7 +398,7 @@ class TestGridPrune:
         pts = pset.to_floats().tolist()
         for kind in (EUCLIDEAN, PARABOLOID_BODY):
             g = Gauge(kind, 4)
-            values = {TestFloatBandClasses.pair_value(kind, x, y) for x in pts for y in pts} - {0.0}
+            values = {pair_value(kind, x, y) for x in pts for y in pts} - {0.0}
             assert len(values) > 200
             for t in sorted(values):
                 brute = annulus_incidences(pset, g, t, 0.0, method="brute").count
@@ -408,9 +438,9 @@ class TestGridPrune:
 
 
 class TestFloatBandClasses:
-    """``grid`` counts a product set by float difference classes: every
-    pair must get the float decision that the brute tiles and the box-pruned
-    segments make on the same r^2 and last-axis gap."""
+    """``grid`` counts a product set with the exact class kernel of
+    ``classes``, and falls back to the box-pruned segments, the brute
+    count, only where that kernel refuses the set."""
 
     DENS = (12, 97, 2**40 + 1, 74667277912751870010242)
 
@@ -428,21 +458,12 @@ class TestFloatBandClasses:
             nums.add(rng.randint(-den, den))
         return tuple(sorted(nums))
 
-    @staticmethod
-    def pair_value(kind, x, y):
-        """The float value the band test reads for the pair (x, y), in the
-        order of _fill_block and _body_gauge."""
-        r2 = 0.0
-        for a, b in zip(x[: len(x) - (kind == PARABOLOID_BODY)], y):
-            r2 += (b - a) * (b - a)
-        if kind == EUCLIDEAN:
-            return math.sqrt(r2)
-        gap = abs(y[-1] - x[-1])
-        return (math.sqrt(r2 * 4.0 + gap * gap) + gap) * 0.5
-
     def test_equals_brute_on_random_product_sets(self):
+        # grid against the exact oracle, and that oracle against the
+        # per-pair Fraction one on the smaller sets; brute against the
+        # box-pruned segments, the grid fallback past the class limits
         rng = random.Random(28)
-        hits = 0
+        hits = hits_float = checked = 0
         for trial in range(60):
             dim = rng.randint(2, 4)
             dens = tuple(rng.choice(self.DENS) for _ in range(dim))
@@ -451,34 +472,55 @@ class TestFloatBandClasses:
             for kind in (EUCLIDEAN, PARABOLOID_BODY):
                 g = Gauge(kind, dim)
                 # t is the float value of a random pair, so that bands with eps = 0 hold pairs
-                t = self.pair_value(kind, rng.choice(pts), rng.choice(pts)) or rng.uniform(0.1, 2.0)
+                t = pair_value(kind, rng.choice(pts), rng.choice(pts)) or rng.uniform(0.1, 2.0)
                 eps = rng.choice([0.0, 0.0, 1e-12, 0.01, rng.uniform(0.0, 1.0)])
-                brute = annulus_incidences(pset, g, t, eps, method="brute").count
+                want = product_band_oracle(pset, kind, t, eps)
                 grid = annulus_incidences(pset, g, t, eps, method="grid").count
-                assert grid == brute == boxes(pset, g, t, eps), (trial, pset, kind, t, eps)
-                hits += eps == 0.0 and brute > 0
-        assert hits >= 10
+                assert grid == want, (trial, pset, kind, t, eps)
+                if pset.n_points <= 40:
+                    assert band_oracle(pset, kind, t, eps)[0] == want, (trial, pset, kind, t, eps)
+                    checked += 1
+                brute = annulus_incidences(pset, g, t, eps, method="brute").count
+                assert boxes(pset, g, t, eps) == brute, (trial, pset, kind, t, eps)
+                hits += want > 0
+                hits_float += eps == 0.0 and brute > 0
+        assert hits >= 40 and checked >= 40 and hits_float >= 10
+
+    def test_mattila3_scan_band_pins(self):
+        # mattila3 at its scan's band, where brute's float count misses
+        # exact edge ties (736, 26752, 581632)
+        for level, want in zip((2, 3, 4), (704, 26240, 573440)):
+            pset = gen_mattila3(1 / 15, level)
+            g, eps = Gauge(EUCLIDEAN, 3), pset.n_points ** (-1.0 / pset.s_dim)
+            counts = {m: annulus_incidences(pset, g, 1.0, eps, method=m).count for m in ("grid", "classes")}
+            assert counts == {"grid": want, "classes": want}, level
 
     def test_every_float_value_of_a_4d_product_set(self):
-        # a band at each value the float pairs take, eps = 0: the head of
-        # three axes must be summed in _fill_r2's order to hold the same pairs
+        # a band at each value the float pairs take, eps = 0: the segments
+        # must sum the head of three axes in _fill_block's order to hold the
+        # pairs brute holds; grid on this product set is the exact count
         rng = random.Random(5)
         axes = tuple(tuple(sorted(rng.sample(range(-97, 98), 3))) for _ in range(4))
         pset = PointSet(dim=4, denominators=(97,) * 4, axes=axes)
         pts = pset.to_floats().tolist()
         for kind in (EUCLIDEAN, PARABOLOID_BODY):
             g = Gauge(kind, 4)
-            values = {self.pair_value(kind, x, y) for x in pts for y in pts} - {0.0}
+            values = sorted({pair_value(kind, x, y) for x in pts for y in pts} - {0.0})
             assert len(values) > 200
-            for t in sorted(values):
+            for t in values:
                 brute = annulus_incidences(pset, g, t, 0.0, method="brute").count
-                assert brute > 0 and annulus_incidences(pset, g, t, 0.0, method="grid").count == brute, (kind, t)
+                assert brute > 0 and boxes(pset, g, t, 0.0) == brute, (kind, t)
+            t = values[len(values) // 2]
+            grid = annulus_incidences(pset, g, t, 0.0, method="grid").count
+            assert grid == annulus_incidences(pset, g, t, 0.0, method="classes").count, kind
 
     def test_counts_past_the_occupied_cell_limit(self):
         # 22,500 points, which the removed cell grid refused, in 512
         # segments: the box table is built over blocks of 128 segment rows
         # (one 512 x 512 table would take 2 MiB per array), and the count,
-        # pinned from the brute method, holds a few MiB
+        # pinned from the brute method, holds a few MiB. grid counts the
+        # product set exactly: the float 0.1 is above 1/10, and no pair of
+        # the 1/150 lattice lies at that distance
         pset, g = gen_lattice(150, 2), Gauge(EUCLIDEAN, 2)
         n_seg = len(segment_boxes(pset.to_floats())[1]) - 1
         assert n_seg > 2 * (_TILE_BYTES // 8 // n_seg)
@@ -489,22 +531,32 @@ class TestFloatBandClasses:
         finally:
             tracemalloc.stop()
         assert count == 50552 and peak < 8 * 2**20
-        assert annulus_incidences(pset, g, 0.1, 0.0, method="grid").count == 50552
+        exact = {m: annulus_incidences(pset, g, 0.1, 0.0, method=m).count for m in ("grid", "classes")}
+        assert exact == {"grid": 0, "classes": 0}
 
     def test_refused_past_max_points(self):
-        # the axes of these 6,284,544 points are small, but grid keeps the
-        # row limit of to_floats, which bounds its pair counts by MAX_POINTS^2
-        pset = gen_mattila2(0.48, 7)
+        # the axes of these 6,284,544 points are small, so grid counts them
+        # by classes past the row limit of to_floats; a product set that the
+        # class kernel refuses, with more than MAX_POINTS points, goes to
+        # the segments and is refused there
+        pset, g = gen_mattila2(0.48, 7), Gauge(EUCLIDEAN, 2)
+        grid = annulus_incidences(pset, g, 1.0, 0.01, method="grid").count
+        assert grid == annulus_incidences(pset, g, 1.0, 0.01, method="classes").count == 644983006336
+        k = UNEVEN_AXIS_VALUES
+        uneven = PointSet(dim=2, denominators=(2 * k, k), axes=((*range(k - 1), 2 * k), range(k)))
+        assert uneven.n_points > MAX_POINTS
         with pytest.raises(CapacityError):
-            annulus_incidences(pset, Gauge(EUCLIDEAN, 2), 1.0, 0.01, method="grid")
+            annulus_incidences(uneven, g, 1.0, 0.01, method="grid")
 
     def test_axis_past_class_limit_falls_back_to_cells(self):
-        # the first axis has k^2 > _MAX_PRODUCT_CLASSES ordered pairs: its
-        # class table, about 50 MiB to build, is refused before it is built
-        k = math.isqrt(_MAX_PRODUCT_CLASSES) + 1
-        pset = PointSet(dim=2, denominators=(k, 1), axes=(range(k), (0, 1)))
+        # an unevenly spaced axis of k values has k(k - 1)/2 gaps to
+        # enumerate, past _MAX_PRODUCT_CLASSES: the class kernel refuses it
+        # before building anything, and the segments count it
+        k = UNEVEN_AXIS_VALUES
+        pset = PointSet(dim=2, denominators=(2 * k, 1), axes=((*range(k - 1), 2 * k), (0, 1)))
         g = Gauge(EUCLIDEAN, 2)
-        assert _float_band_classes(pset.axes, pset.denominators, g, 1.0, 0.01) is None
+        with pytest.raises(CapacityError):
+            _annulus_classes(pset.axes, pset.denominators, g.kind, 1.0, 0.01)
         tracemalloc.start()
         try:
             grid = annulus_incidences(pset, g, 1.0, 0.01, method="grid").count
@@ -515,14 +567,15 @@ class TestFloatBandClasses:
         assert peak < 8 * 2**20
 
     def test_head_keys_past_class_limit_fall_back_to_cells(self, monkeypatch):
-        # 7 values per axis, 49 ordered pairs, pass a limit of 64; the 17
-        # squared float gaps of each head axis would build 289 head keys
+        # 7 values per axis, 21 gaps to enumerate, pass a limit of 64; the
+        # 17 gaps of each head axis would build 289 head keys
         monkeypatch.setattr(incidence, "_MAX_PRODUCT_CLASSES", 64)
         axis = (-64, -32, -8, 0, 4, 16, 64)
         pset = PointSet(dim=3, denominators=(64, 64, 64), axes=(axis, axis, axis))
         for kind in (EUCLIDEAN, PARABOLOID_BODY):
             g = Gauge(kind, 3)
-            assert _float_band_classes(pset.axes, pset.denominators, g, 1.0, 0.25) is None
+            with pytest.raises(CapacityError):
+                _annulus_classes(pset.axes, pset.denominators, kind, 1.0, 0.25)
             brute = annulus_incidences(pset, g, 1.0, 0.25, method="brute").count
             assert brute > 0 and annulus_incidences(pset, g, 1.0, 0.25, method="grid").count == brute
 
@@ -551,6 +604,30 @@ def band_oracle(pset, kind, t, eps):
         count += inside
         ties += inside and edge
     return count, ties
+
+
+def product_band_oracle(pset, kind, t, eps):
+    """band_oracle's count on a product set, decided once per vector of
+    per-axis gaps |q_k - p_k| and weighted by the ordered pairs that share
+    it: both gauges read only those gaps. Both are homogeneous, so over a
+    common denominator D the gaps are integers X_k and the band is
+    [t D, (t + eps) D]; band_oracle's tests, multiplied out to integers, run
+    per last-axis gap a on object arrays of the head's |X'|^2."""
+    D = math.lcm(*pset.denominators)
+    gaps = [Counter(abs(b - a) * (D // den) for a in ax for b in ax) for ax, den in zip(pset.axes, pset.denominators)]
+    r2, pairs = np.zeros(1, dtype=object), np.ones(1, dtype=object)
+    for axis_gaps in gaps[:-1]:
+        g, m = (np.array(list(v), dtype=object) for v in (axis_gaps.keys(), axis_gaps.values()))
+        r2, pairs = np.add.outer(r2, g * g).ravel(), np.multiply.outer(pairs, m).ravel()
+    (ln, lm), (hn, hm) = ((v * D).as_integer_ratio() for v in (Fraction(t), Fraction(t) + Fraction(eps)))
+    count = 0
+    for a, m in gaps[-1].items():
+        if kind == EUCLIDEAN:  # lo^2 <= |X|^2 <= hi^2
+            inside = ((r2 + a * a) * lm * lm >= ln * ln) & ((r2 + a * a) * hm * hm <= hn * hn)
+        else:  # |X'|^2 + lo a >= lo^2 and |X'|^2 + hi a <= hi^2
+            inside = (r2 * lm * lm + ln * lm * a >= ln * ln) & (r2 * hm * hm + hn * hm * a <= hn * hn)
+        count += m * int(pairs[inside].sum())
+    return count
 
 
 def random_product_set(rng, dim):
@@ -735,12 +812,14 @@ class TestAnnulusClasses:
         assert annulus_incidences(pset, Gauge(EUCLIDEAN, 2), 0.5, 0.05, "classes").count == 1744
         assert band_oracle(pset, EUCLIDEAN, 0.5, 0.05)[0] == 1744
 
-    @pytest.mark.parametrize("d, ns", [(2, range(1, 13)), (3, range(1, 7))])
+    @pytest.mark.parametrize("d, ns", [(2, range(1, 13)), (3, range(1, 13))])
     def test_valtr_unit_surface(self, d, ns):
+        # grid on a product set is the classes count
         g = Gauge(PARABOLOID_BODY, d)
         for n in ns:
-            got = annulus_incidences(gen_valtr(n, d), g, 1.0, 0.0, "classes").count
-            assert got == exact_valtr_incidences(n, d).count, n
+            got = {m: annulus_incidences(gen_valtr(n, d), g, 1.0, 0.0, m).count for m in ("classes", "grid")}
+            want = exact_valtr_incidences(n, d).count
+            assert got == {"classes": want, "grid": want}, n
 
     def test_valtr_at_falconer_eps(self):
         g = Gauge(PARABOLOID_BODY, 2)
