@@ -9,27 +9,28 @@ thickened-distance-band growth experiment. The exact Valtr count, the
 ``classes`` annulus method, ``grid`` on a product set and the measure ratio
 share one band kernel over the per-axis gap multisets of a product set, in
 pure integer arithmetic; the Valtr counters read the axes of ``gen_valtr``
-and never build its points. The ``brute`` annulus method decides each
-unordered pair once, in tiles of the upper triangle of about 512 KiB that
-go round robin to a thread pool when asked; each worker holds one r^2 tile
-and its difference buffer, and the count is the same for any thread count.
-A tile is filled block by block: the points are cut, in input order, into
-about 16 segments, neighbours with the same nonzero axes merged, and the
-block of a pair of segments subtracts and squares only the axes both
-segments use, adds each point's square on an axis only one of them uses,
-and skips an axis both leave zero, which sums every r^2 to the float of the
-full per-axis fill (the two circles of ``gen_lenz`` are two segments whose
-cross blocks subtract nothing).
-On a row-built set, or a product set past the band kernel's class limit,
-the ``grid`` method sorts the points into k-d segments of about 64 points
-and fills, with the brute tiles' block fill and band test, each unordered
-pair once, only over the pairs of segments whose float bounding boxes can
-hold a pair in the band; rounding is monotone, so none in the band is
-pruned. For the paraboloid body both methods take r^2 over the head axes
-and the last-axis gap. The Euclidean band test compares r^2 itself with two
-float limits, found once per count, that give the same decision as
-comparing sqrt(r^2) with t and t + eps. An O(N^2) brute Valtr oracle on
-the same tiles, over the integer grid indices, serves the tests.
+and never build its points.
+
+Every float band count, ``brute`` and ``grid`` on a row-built set or on a
+product set past the band kernel's class limit, runs on one engine: the
+points are sorted into k-d segments of about 64 points, and each unordered
+pair is decided once, only over the pairs of segments whose float bounding
+boxes can hold a pair in the band; rounding is monotone, so none in the band
+is pruned. The segment rows go round robin to a thread pool when asked, each
+worker holding one r^2 block and its difference buffer of about 512 KiB, and
+the count is the same for any thread count. A segment is filled against the
+kept segments that use the same nonzero axes at a time, subtracting and
+squaring only the axes both sides use, adding each point's square on an axis
+only one of them uses and skipping an axis both leave zero, which sums every
+r^2 to the float of the full per-axis fill (the cross blocks of the two
+circles of ``gen_lenz`` subtract nothing). For the paraboloid body r^2 runs
+over the head axes, with the last-axis gap beside it. The Euclidean band
+test compares r^2 itself with two float limits, found once per count, that
+give the same decision as comparing sqrt(r^2) with t and t + eps.
+
+The brute energy and an O(N^2) brute Valtr oracle, over the integer grid
+indices, fill every pair in upper-triangle tiles with the same per-axis
+block fill, cut by the nonzero axes of about 16 runs of points in input order.
 
 All pair counts are over ordered pairs.
 """
@@ -55,8 +56,14 @@ from .pointsets import PointSet, gen_valtr
 ALL_CAPS = (UPPER, LOWER, RIDGE)
 
 _TILE_BYTES = 1 << 19  # one r^2 tile and its difference buffer fit in L2
-_SEGMENTS = 16  # point segments whose nonzero axes a brute tile's blocks read
-_SEGMENT_POINTS = 64  # a k-d segment of the grid count holding more points is split
+_SEGMENTS = 16  # point segments whose nonzero axes an upper-triangle tile's blocks read
+_SEGMENT_POINTS = 64  # a k-d segment of a float band count holding more points is split
+# NumPy's ufuncs buffer a broadcast operand whose inner loop is shorter than
+# about a third of the buffer, which made the (rows, columns) subtraction of a
+# segment block about 3x slower per entry below some 2,700 columns with the
+# default of 8192 elements (NumPy 2.4); with 1024, blocks from 342 columns run
+# unbuffered
+_UFUNC_BUFFER = 1024
 _MAX_PRODUCT_CLASSES = 4_000_000
 _INF_BITS = 0x7FF0000000000000  # bit pattern of float64 inf
 
@@ -169,7 +176,7 @@ def _fill_block(out: np.ndarray, buf: np.ndarray, cols, sq, x: slice, x_axes, y:
             if part is None:
                 part = term
                 continue
-        full = np.broadcast_shapes(part.shape, term.shape) == out.shape
+        full = part.shape != term.shape or part.shape == out.shape  # they broadcast to out's shape
         part = np.add(part, term, out=out if full else None)
     if part is not out:
         out[...] = 0.0 if part is None else part
@@ -213,12 +220,18 @@ def _map_upper_tiles(fn, pts: np.ndarray, threads: int) -> list:
             out.append(fn(r2, i0, i1))
         return out
 
+    return [v for part in _map_workers(work, threads) for v in part]
+
+
+def _map_workers(work, threads: int) -> list:
+    """[work(0), ..., work(threads - 1)], on a pool of ``threads`` threads
+    when there is more than one."""
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return [v for part in pool.map(work, range(threads)) for v in part]
-    return work(0)
+            return list(pool.map(work, range(threads)))
+    return [work(0)]
 
 
 def _least_float(pred) -> float:
@@ -266,42 +279,46 @@ def _band_count(g: Gauge, r2: np.ndarray, a, band: tuple[float, float]) -> int:
     return int(np.count_nonzero((v >= lo) & (v <= hi)))
 
 
-def _annulus_brute(pts: np.ndarray, g: Gauge, t: float, eps: float, threads: int) -> int:
-    body, last, band = g.kind == PARABOLOID_BODY, pts[:, -1], _band_limits(g, t, eps)
-
-    def one(r2, i0, i1):
-        return _band_count(g, r2, np.abs(last[i0:] - last[i0:i1, None]) if body else None, band)
-
-    return 2 * sum(_map_upper_tiles(one, pts[:, :-1] if body else pts, threads))  # r^2 and a are symmetric
-
-
 def _kd_segments(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(order, bounds): a flat k-d order of the points of cols (one row per
     axis), segment s holding the points order[bounds[s]:bounds[s + 1]]. A
     run of more than _SEGMENT_POINTS points is split at the midpoint of its
     widest axis, the lower side first, so segments near in the order are near
     in space (Bentley 1975); a run whose midpoint leaves one side empty (all
-    its points within two neighbouring floats on every axis) stays whole."""
-    order, bounds, todo = [], [0], [np.arange(cols.shape[1])]
-    while todo:
-        idx = todo.pop()
-        if len(idx) > _SEGMENT_POINTS:
-            sub = cols.take(idx, axis=1)
-            lo, hi = sub.min(axis=1), sub.max(axis=1)
-            k = int(np.argmax(hi - lo))
-            below = sub[k] < lo[k] + (hi[k] - lo[k]) / 2
-            if below.any() and not below.all():
-                todo += [idx[~below], idx[below]]
-                continue
-        order.append(idx)
-        bounds.append(bounds[-1] + len(idx))
-    return np.concatenate(order), np.array(bounds)
+    its points within two neighbouring floats on every axis) stays whole.
+    Every run of one depth is split in the same few NumPy passes: each is a
+    range of order, partitioned in place, which keeps the points of each side
+    in their order before the split."""
+    n = cols.shape[1]
+    order, bounds, stuck = np.arange(n), np.array([0, n]), np.zeros(n, dtype=bool)  # stuck: by first position
+    while True:
+        sizes = np.diff(bounds)
+        nodes = np.flatnonzero((sizes > _SEGMENT_POINTS) & ~stuck[bounds[:-1]])
+        if len(nodes) == 0:
+            return order, bounds
+        lens = sizes[nodes]
+        pos = _runs(bounds[nodes], lens)
+        sub, firsts = cols.take(order[pos], axis=1), np.cumsum(lens) - lens
+        lo, hi = np.minimum.reduceat(sub, firsts, axis=1), np.maximum.reduceat(sub, firsts, axis=1)
+        k, node = np.argmax(hi - lo, axis=0), np.repeat(np.arange(len(nodes)), lens)
+        mid = (lo + (hi - lo) / 2)[k, np.arange(len(nodes))]
+        below = sub[k[node], np.arange(len(pos))] < mid[node]
+        n_below = np.add.reduceat(below, firsts)
+        splits = (n_below > 0) & (n_below < lens)
+        order[pos] = order[pos[np.argsort(2 * node + ~below, kind="stable")]]
+        stuck[bounds[nodes[~splits]]] = True
+        bounds = np.sort(np.concatenate((bounds, bounds[nodes[splits]] + n_below[splits])))
+
+
+def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The integers of the ranges starts[i] .. starts[i] + lens[i] - 1, in order."""
+    return np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
 
 
 def _box_pairs(lo: np.ndarray, hi: np.ndarray, g: Gauge, band, rows: slice) -> np.ndarray:
-    """keep[i, b]: whether segment b >= a = rows.start + i may hold a pair
-    with segment a whose value in _band_count lies in band, given the float
-    bounding boxes of the segments, lo[k, s] <= x_k <= hi[k, s].
+    """keep[i, b]: whether segment b >= a, a the i-th segment of ``rows``,
+    may hold a pair with segment a whose value in _band_count lies in band,
+    given the float bounding boxes of the segments, lo[k, s] <= x_k <= hi[k, s].
 
     For x in a and y in b, y_k - x_k lies in [lo_b - hi_a, hi_b - lo_a].
     Correctly rounded -, *, + and sqrt are monotone, so fl(y_k - x_k) lies
@@ -324,7 +341,7 @@ def _box_pairs(lo: np.ndarray, hi: np.ndarray, g: Gauge, band, rows: slice) -> n
     if body:
         near, far = gaps(d - 1)
         v_lo, v_hi = _body_gauge(v_lo, near), _body_gauge(v_hi, far)
-    later = np.arange(lo.shape[1]) >= np.arange(rows.start, rows.stop)[:, None]
+    later = np.arange(lo.shape[1]) >= np.arange(lo.shape[1])[rows, None]
     return (v_hi >= band[0]) & (v_lo <= band[1]) & later
 
 
@@ -341,39 +358,72 @@ def _gather_block(cols, x_idx, y_idx, x_axes, y_axes, body: bool, r2_buf, diff_b
     return r2, np.abs(np.subtract(sub[-1, y], sub[-1, x, None], out=buf), out=buf) if body else None
 
 
-def _annulus_grid(pts: np.ndarray, g: Gauge, t: float, eps: float) -> int:
-    """The band count of _annulus_brute, on the same float r^2 and last-axis
-    gap, over the pairs of k-d segments (_kd_segments) whose float bounding
-    boxes can hold a pair in the band (_box_pairs, tabulated for blocks of
-    segment rows of about _TILE_BYTES each). The points of the kept segments
-    b >= a of each segment a are filled against a's own (_gather_block) in
-    blocks of about _TILE_BYTES, or one segment square, over the axes those
-    segments use, with j <= i set to inf where a meets itself, so each
-    unordered pair is decided once and the count is doubled, as in
-    _map_upper_tiles."""
+def _annulus_grid(pts: np.ndarray, g: Gauge, t: float, eps: float, threads: int = 1) -> int:
+    """Ordered pairs of the float points pts whose value in _band_count
+    (r^2 over the squared axes, and for the paraboloid body the last-axis
+    gap) lies in the band, deciding each unordered pair once and doubling
+    the count, as r^2 and the gap are symmetric; the points are sorted into
+    k-d segments (_kd_segments), and only the pairs of segments whose float
+    bounding boxes can hold a pair in the band are filled (_box_pairs), so
+    the count is that of every pair.
+
+    The segment rows are dealt round robin to ``threads`` workers, each with
+    one r^2 buffer and one difference buffer of about _TILE_BYTES, and each
+    tabulates the boxes of its own rows in blocks of about _TILE_BYTES; the
+    count is the same for any thread count. For each segment a, the points
+    of the kept segments b >= a are gathered and filled against a's own
+    (_gather_block) one group at a time, a group being the kept segments
+    that use the same axes, so a block subtracts only the axes both sides
+    use. The rows of a are filled in runs short enough that a run against
+    the whole of a fits in the buffers, so a segment that cannot be split
+    (all its points within two neighbouring floats) needs no more memory,
+    and the columns in blocks that fit; where a meets itself, j <= i is set
+    to inf."""
     body, d = g.kind == PARABOLOID_BODY, pts.shape[1]
     cols = np.ascontiguousarray(pts.T)
     order, bounds = _kd_segments(cols)
     cols, starts, sizes = cols.take(order, axis=1), bounds[:-1], np.diff(bounds)
     lo, hi = np.minimum.reduceat(cols, starts, axis=1), np.maximum.reduceat(cols, starts, axis=1)
     used = np.logical_or.reduceat(cols[: d - body] != 0, starts, axis=1).T
-    band, n_seg, top = _band_limits(g, t, eps), len(starts), int(sizes.max())
-    size = max(top * top, _TILE_BYTES // 8)
-    r2_buf, diff_buf, lower = np.empty(size), np.empty(size), np.tri(top, dtype=bool)
-    count, step = 0, max(1, _TILE_BYTES // 8 // n_seg)
-    for a0 in range(0, n_seg, step):
-        for a, kept in enumerate(_box_pairs(lo, hi, g, band, slice(a0, min(n_seg, a0 + step))), a0):
-            if not kept.any():
+    support = (used * (1 << np.arange(d - body))).sum(axis=1)  # bit k: some point of the segment is off zero on axis k
+    axes_of = {m: frozenset(k for k in range(d - body) if m >> k & 1) for m in set(support.tolist())}
+    groups = [(axes, support == m) for m, axes in axes_of.items()]
+    band, n_seg, size = _band_limits(g, t, eps), len(starts), _TILE_BYTES // 8
+    heights = np.minimum(sizes, np.maximum(1, size // sizes))  # rows of a per run: height * len(a) <= size
+    lower, step = np.tri(int(heights.max()), dtype=bool), max(1, size // n_seg) * threads
+
+    def segment(a, kept, r2_buf, diff_buf) -> int:
+        """The pairs of a point of segment a and a point of a kept segment
+        b >= a, each unordered pair once."""
+        count, x_axes = 0, axes_of[support[a]]
+        for y_axes, of_group in groups:
+            segs = np.flatnonzero(kept & of_group)
+            if len(segs) == 0:
                 continue
-            own, tgt = np.arange(bounds[a], bounds[a + 1]), np.flatnonzero(np.repeat(kept, sizes))
-            x_axes, y_axes = (frozenset(np.flatnonzero(u).tolist()) for u in (used[a], used[kept].any(axis=0)))
-            width = size // len(own)
-            for y0 in range(0, len(tgt), width):
-                r2, gap = _gather_block(cols, own, tgt[y0 : y0 + width], x_axes, y_axes, body, r2_buf, diff_buf)
-                if y0 == 0 and kept[a]:  # the block opens with segment a against itself
-                    np.copyto(r2[:, : len(own)], np.inf, where=lower[: len(own), : len(own)])
-                count += _band_count(g, r2, gap, band)
-    return 2 * count  # r^2 and a are symmetric
+            tgt, meets_a = _runs(starts[segs], sizes[segs]), segs[0] == a
+            for r0 in range(0, sizes[a], heights[a]):
+                own = np.arange(bounds[a] + r0, min(bounds[a + 1], bounds[a] + r0 + heights[a]))
+                y, width = tgt[r0:] if meets_a else tgt, size // len(own)
+                for y0 in range(0, len(y), width):
+                    r2, gap = _gather_block(cols, own, y[y0 : y0 + width], x_axes, y_axes, body, r2_buf, diff_buf)
+                    if meets_a and y0 == 0:  # the block opens with these rows of a against themselves
+                        np.copyto(r2[:, : len(own)], np.inf, where=lower[: len(own), : len(own)])
+                    count += _band_count(g, r2, gap, band)
+        return count
+
+    def work(w):
+        r2_buf, diff_buf, count = np.empty(size), np.empty(size), 0
+        old = np.setbufsize(_UFUNC_BUFFER)  # this thread's setting
+        try:
+            for a0 in range(w, n_seg, step):
+                rows = slice(a0, min(n_seg, a0 + step), threads)
+                keep = _box_pairs(lo, hi, g, band, rows)
+                count += sum(segment(a, kept, r2_buf, diff_buf) for a, kept in zip(range(n_seg)[rows], keep))
+            return count
+        finally:
+            np.setbufsize(old)
+
+    return 2 * sum(_map_workers(work, threads))
 
 
 def _even_step(axis) -> int | None:
@@ -515,11 +565,12 @@ def annulus_incidences(
     ``classes`` counts a product set (one built from ``axes``) by difference
     classes in exact integer arithmetic, with t and eps taken as the exact
     rationals of their values. ``brute`` evaluates the gauge in float64 on
-    ``to_floats`` coordinates. ``grid`` gives the ``classes`` count on a
-    product set, and on any other set, or a product set past the class
-    limit, the ``brute`` count, over the pairs of k-d segments whose float
-    bounding boxes can hold a pair in the band (_annulus_grid). ``threads``
-    applies to ``brute`` only."""
+    ``to_floats`` coordinates, over the pairs of k-d segments whose float
+    bounding boxes can hold a pair in the band (_annulus_grid), which is the
+    count over every pair. ``grid`` gives the ``classes`` count on a product
+    set, and the ``brute`` count on any other set, or on a product set past
+    the class limit. ``threads`` workers share each float count; the count
+    is the same for any number of them."""
     if P.n_points == 0:
         raise InputError("empty point set")
     if g.dim != P.dim:
@@ -530,10 +581,8 @@ def annulus_incidences(
         raise ParameterError(f"eps must be nonnegative, got {eps!r}")
     if threads < 1:
         raise ParameterError("threads must be >= 1")
-    if method == "brute":
-        count = _annulus_brute(P.to_floats(), g, float(t), float(eps), threads)
-    elif method == "grid" and P.axes is None:
-        count = _annulus_grid(P.to_floats(), g, float(t), float(eps))
+    if method == "brute" or (method == "grid" and P.axes is None):
+        count = _annulus_grid(P.to_floats(), g, float(t), float(eps), threads)
     elif method in ("grid", "classes"):
         if P.axes is None:
             raise ParameterError("method 'classes' needs a product set built from axes")
@@ -542,7 +591,7 @@ def annulus_incidences(
         except CapacityError:
             if method == "classes":
                 raise
-            count = _annulus_grid(P.to_floats(), g, float(t), float(eps))
+            count = _annulus_grid(P.to_floats(), g, float(t), float(eps), threads)
     else:
         raise ParameterError(f"unknown method {method!r}")
     return IncidenceReport(

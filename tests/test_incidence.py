@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -30,8 +31,8 @@ from incidence_lab.energy import _brute_pair_sum
 from incidence_lab.gauge import _body_gauge
 from incidence_lab.incidence import (
     _MAX_PRODUCT_CLASSES,
+    _SEGMENT_POINTS,
     _TILE_BYTES,
-    _annulus_brute,
     _annulus_classes,
     _annulus_grid,
     _band_count,
@@ -62,6 +63,24 @@ def boxes(pset, g, t, eps):
     """The box-pruned count on the float points of ``pset``: what ``grid``
     counts for a row-built set, and for a product set past the class limit."""
     return _annulus_grid(pset.to_floats(), g, t, eps)
+
+
+def tile_count(pts, g, t, eps, threads=1):
+    """The band count of the float points pts over every unordered pair,
+    with no prune: the upper-triangle tiles of _map_upper_tiles, the
+    last-axis gaps of each tile built whole for the paraboloid body, and
+    _band_count, doubled. The reference of the segment engine that ``brute``
+    and ``grid``'s fallback count on."""
+    body, last, band = g.kind == PARABOLOID_BODY, pts[:, -1], _band_limits(g, t, eps)
+
+    def one(r2, i0, i1):
+        return _band_count(g, r2, np.abs(last[i0:] - last[i0:i1, None]) if body else None, band)
+
+    return 2 * sum(_map_upper_tiles(one, pts[:, :-1] if body else pts, threads))
+
+
+def tiles(pset, g, t, eps):
+    return tile_count(pset.to_floats(), g, t, eps)
 
 
 def pair_value(kind, x, y):
@@ -191,7 +210,7 @@ class TestAnnulus:
             g = Gauge(kind, dim)
             brute = annulus_incidences(pset, g, t, eps, method="brute").count
             grid = annulus_incidences(pset, g, t, eps, method="grid").count
-            assert brute == grid, (trial, dim, n, kind, t, eps)
+            assert brute == grid == tiles(pset, g, t, eps), (trial, dim, n, kind, t, eps)
 
     def test_monotone_in_eps(self):
         p = gen_mattila2(0.5, 2)
@@ -222,7 +241,7 @@ class TestAnnulus:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_lenz_euclidean_band_pin(self, threads):
-        # pinned at the 2048-row chunk loop; the upper-triangle tiles count the same
+        # pinned at the 2048-row chunk loop; the upper-triangle tiles and the k-d segments count the same
         p = gen_lenz(4096)
         assert annulus_incidences(p, Gauge(EUCLIDEAN, 4), 1.0, 0.05, threads=threads).count == 155648
 
@@ -246,9 +265,10 @@ class TestAnnulus:
 
 
 class TestGridPrune:
-    """The grid method prunes pairs of k-d segments by float bounds on their
-    pairs' values; no pruned pair of segments may hold a pair that the
-    per-pair float test, which the brute method shares, puts in the band."""
+    """The float band count (``brute``, and ``grid`` on a row-built set)
+    prunes pairs of k-d segments by float bounds on their pairs' values; no
+    pruned pair of segments may hold a pair that the same float test over
+    every pair (tile_count) puts in the band."""
 
     @pytest.mark.parametrize("kind", [EUCLIDEAN, PARABOLOID_BODY])
     def test_tiny_t_keeps_cell_keys_in_int64(self, kind):
@@ -264,7 +284,7 @@ class TestGridPrune:
             (gen_lattice(4, 2), 1e-300, 1e-300, 0),
         ]:
             counts = {m: annulus_incidences(pset, g, t, eps, method=m).count for m in ("grid", "brute", "classes")}
-            counts["boxes"] = boxes(pset, g, t, eps)
+            counts["boxes"], counts["tiles"] = boxes(pset, g, t, eps), tiles(pset, g, t, eps)
             assert len(set(counts.values())) == 1, (t, eps, counts)
             assert want is None or counts["grid"] == want, (t, eps, counts)
 
@@ -274,7 +294,7 @@ class TestGridPrune:
         # several blocks of segment rows, each of 256 // n_seg rows
         pset, g = random_pointset(np.random.default_rng(77), 2, 2500), Gauge(kind, 2)
         bands = [(0.5, 0.0), (0.5, 0.05), (1.3, 0.01)]
-        brute = [annulus_incidences(pset, g, t, eps, method="brute").count for t, eps in bands]
+        brute = [tiles(pset, g, t, eps) for t, eps in bands]
         monkeypatch.setattr(incidence, "_TILE_BYTES", 2048)
         n_seg = len(segment_boxes(pset.to_floats())[1]) - 1
         assert n_seg > 4 * max(1, 256 // n_seg)
@@ -292,8 +312,8 @@ class TestGridPrune:
         for kind in (EUCLIDEAN, PARABOLOID_BODY):
             g = Gauge(kind, dim)
             for t, eps in [(3e-7, 2e-7), (1e-6, 5e-7)]:
-                brute = annulus_incidences(pset, g, t, eps, method="brute").count
-                assert brute > 0
+                brute = tiles(pset, g, t, eps)
+                assert brute > 0 and annulus_incidences(pset, g, t, eps, method="brute").count == brute
                 assert annulus_incidences(pset, g, t, eps, method="grid").count == brute, (kind, t, eps)
 
     @pytest.mark.parametrize(
@@ -402,14 +422,14 @@ class TestGridPrune:
             assert len(values) > 200
             for t in sorted(values):
                 brute = annulus_incidences(pset, g, t, 0.0, method="brute").count
-                assert brute > 0 and boxes(pset, g, t, 0.0) == brute, (kind, t)
+                assert brute > 0 and brute == boxes(pset, g, t, 0.0) == tiles(pset, g, t, 0.0), (kind, t)
 
     def test_equals_brute_in_one_dimension(self):
         # the kernels read the gauge for its kind only
         x = np.unique(np.random.default_rng(1).integers(-500, 501, 300)) / 250.0
         pts, g = x[:, None], Gauge(EUCLIDEAN, 2)
         for t, eps in [(1.0, 0.05), (0.5, 0.0), (0.01, 0.3)]:
-            brute = _annulus_brute(pts, g, t, eps, 1)
+            brute = tile_count(pts, g, t, eps)
             assert brute > 0 and _annulus_grid(pts, g, t, eps) == brute, (t, eps)
 
     @pytest.mark.parametrize("kind", [EUCLIDEAN, PARABOLOID_BODY])
@@ -418,8 +438,8 @@ class TestGridPrune:
         # bounds meet the band both within a line and across the lines
         pset, g = two_columns(), Gauge(kind, 2)
         for t, eps in [(0.5, 0.05), (0.5, 0.0), (0.25, 0.1)]:
-            brute = annulus_incidences(pset, g, t, eps, method="brute").count
-            assert brute > 0
+            brute = tiles(pset, g, t, eps)
+            assert brute > 0 and annulus_incidences(pset, g, t, eps, method="brute").count == brute
             assert annulus_incidences(pset, g, t, eps, method="grid").count == brute, (t, eps)
 
     @pytest.mark.parametrize("kind", [EUCLIDEAN, PARABOLOID_BODY])
@@ -428,13 +448,56 @@ class TestGridPrune:
         # of 4096 // 64 or more columns, several for most segments here
         pset, g = random_pointset(np.random.default_rng(78), 3, 1200), Gauge(kind, 3)
         bands = [(0.5, 0.05), (0.75, 0.0)]
-        brute = [annulus_incidences(pset, g, t, eps, method="brute").count for t, eps in bands]
+        brute = [tiles(pset, g, t, eps) for t, eps in bands]
         monkeypatch.setattr(incidence, "_TILE_BYTES", 1 << 15)
         _, bounds, lo, hi = segment_boxes(pset.to_floats())
         keep = _box_pairs(lo, hi, g, _band_limits(g, *bands[0]), slice(0, len(bounds) - 1))
         kept_points = keep @ np.diff(bounds)
         assert (kept_points > 3 * 4096 // np.diff(bounds)).mean() > 0.5
         assert min(brute) > 0 and [boxes(pset, g, t, eps) for t, eps in bands] == brute
+
+
+def kd_segments_per_node(cols):
+    """_kd_segments splitting one run per Python iteration, depth first, the
+    lower side first: the reference for splitting a whole depth at once."""
+    order, bounds, todo = [], [0], [np.arange(cols.shape[1])]
+    while todo:
+        idx = todo.pop()
+        if len(idx) > incidence._SEGMENT_POINTS:
+            sub = cols.take(idx, axis=1)
+            lo, hi = sub.min(axis=1), sub.max(axis=1)
+            k = int(np.argmax(hi - lo))
+            below = sub[k] < lo[k] + (hi[k] - lo[k]) / 2
+            if below.any() and not below.all():
+                todo += [idx[~below], idx[below]]
+                continue
+        order.append(idx)
+        bounds.append(bounds[-1] + len(idx))
+    return np.concatenate(order), np.array(bounds)
+
+
+class TestKdSegments:
+    @pytest.mark.parametrize("name", ["lenz", "random 3-D", "mattila2", "one float"])
+    def test_equals_per_node_split(self, name):
+        pts = {
+            "lenz": lambda: gen_lenz(8192).to_floats(),
+            "random 3-D": lambda: np.random.default_rng(18).normal(size=(6000, 3)),
+            "mattila2": lambda: gen_mattila2(0.48, 4).to_floats(),
+            "one float": lambda: np.full((3 * _SEGMENT_POINTS, 2), 0.5),
+        }[name]()
+        cols = np.ascontiguousarray(pts.T)
+        (order, bounds), (want_order, want_bounds) = _kd_segments(cols), kd_segments_per_node(cols)
+        assert np.array_equal(bounds, want_bounds) and np.array_equal(order, want_order)
+        assert name != "one float" or bounds.tolist() == [0, len(pts)]
+
+    def test_equals_per_node_split_down_to_one_point(self, monkeypatch):
+        # runs of one point, and repeated points in runs that cannot be split
+        monkeypatch.setattr(incidence, "_SEGMENT_POINTS", 1)
+        pts = np.random.default_rng(4).integers(0, 6, size=(400, 3)).astype(float)
+        cols = np.ascontiguousarray(pts.T)
+        (order, bounds), (want_order, want_bounds) = _kd_segments(cols), kd_segments_per_node(cols)
+        assert np.array_equal(bounds, want_bounds) and np.array_equal(order, want_order)
+        assert len(bounds) - 1 == len(np.unique(pts, axis=0)) < len(pts)
 
 
 class TestFloatBandClasses:
@@ -480,8 +543,8 @@ class TestFloatBandClasses:
                 if pset.n_points <= 40:
                     assert band_oracle(pset, kind, t, eps)[0] == want, (trial, pset, kind, t, eps)
                     checked += 1
-                brute = annulus_incidences(pset, g, t, eps, method="brute").count
-                assert boxes(pset, g, t, eps) == brute, (trial, pset, kind, t, eps)
+                brute = tiles(pset, g, t, eps)
+                assert annulus_incidences(pset, g, t, eps, method="brute").count == brute, (trial, pset, kind, t, eps)
                 hits += want > 0
                 hits_float += eps == 0.0 and brute > 0
         assert hits >= 40 and checked >= 40 and hits_float >= 10
@@ -509,7 +572,7 @@ class TestFloatBandClasses:
             assert len(values) > 200
             for t in values:
                 brute = annulus_incidences(pset, g, t, 0.0, method="brute").count
-                assert brute > 0 and boxes(pset, g, t, 0.0) == brute, (kind, t)
+                assert brute > 0 and boxes(pset, g, t, 0.0) == brute == tiles(pset, g, t, 0.0), (kind, t)
             t = values[len(values) // 2]
             grid = annulus_incidences(pset, g, t, 0.0, method="grid").count
             assert grid == annulus_incidences(pset, g, t, 0.0, method="classes").count, kind
@@ -563,7 +626,7 @@ class TestFloatBandClasses:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert grid == annulus_incidences(pset, g, 1.0, 0.01, method="brute").count > 0
+        assert grid == tiles(pset, g, 1.0, 0.01) > 0
         assert peak < 8 * 2**20
 
     def test_head_keys_past_class_limit_fall_back_to_cells(self, monkeypatch):
@@ -576,7 +639,7 @@ class TestFloatBandClasses:
             g = Gauge(kind, 3)
             with pytest.raises(CapacityError):
                 _annulus_classes(pset.axes, pset.denominators, kind, 1.0, 0.25)
-            brute = annulus_incidences(pset, g, 1.0, 0.25, method="brute").count
+            brute = tiles(pset, g, 1.0, 0.25)
             assert brute > 0 and annulus_incidences(pset, g, 1.0, 0.25, method="grid").count == brute
 
 
@@ -765,20 +828,72 @@ class TestPairR2:
         assert segments(origin) == [(0, 9, set()), (9, 17, {0, 1})]
 
     def test_threads_do_not_change_brute_results(self):
-        # an odd number of row-built points, over many tiles
-        pts = random_pointset(np.random.default_rng(3), 3, 1501).to_floats()
+        # an odd number of row-built points, over many tiles; each worker
+        # of the segment engine restores its thread's ufunc buffer size
+        pts, bufsize = random_pointset(np.random.default_rng(3), 3, 1501).to_floats(), np.getbufsize()
         for kind in (EUCLIDEAN, PARABOLOID_BODY):
-            counts = {threads: _annulus_brute(pts, Gauge(kind, 3), 0.5, 0.1, threads) for threads in (1, 2, 3)}
-            assert counts[1] > 0 and counts[1] == counts[2] == counts[3]
+            g = Gauge(kind, 3)
+            counts = {threads: _annulus_grid(pts, g, 0.5, 0.1, threads) for threads in (1, 2, 3)}
+            assert counts[1] > 0 and counts[1] == counts[2] == counts[3] == tile_count(pts, g, 0.5, 0.1, 2)
+        assert np.getbufsize() == bufsize
         sums = {threads: _brute_pair_sum(pts, 1.3, threads) for threads in (1, 2, 3)}
         assert sums[1] == sums[2] == sums[3]
 
+    @pytest.mark.parametrize("kind", [EUCLIDEAN, PARABOLOID_BODY])
+    def test_brute_equals_unpruned_tiles(self, kind):
+        # the box-pruned segments, dealt to 1, 2 or 3 workers, against every
+        # pair of the tiles: an all-pairs band, (0.5, 0.05), and eps = 0 at
+        # the float value of one pair
+        rng = np.random.default_rng(32)
+        pset = random_pointset(rng, 3, 1501)
+
+        def brute(g, t, eps, threads):
+            return annulus_incidences(pset, g, t, eps, "brute", threads).count
+
+        sets = [(pts, partial(_annulus_grid, pts)) for pts in self.split_tile_sets()] + [(pset.to_floats(), brute)]
+        in_band = 0
+        for i, (pts, count) in enumerate(sets):
+            g = Gauge(kind, pts.shape[1])
+            x, y = (pts[k] for k in rng.choice(len(pts), 2, replace=False))
+            for t, eps in [(1e-9, 1e9), (0.5, 0.05), (pair_value(kind, x, y) or 1.0, 0.0)]:
+                want = tile_count(pts, g, t, eps)
+                in_band += want > 0
+                assert [count(g, t, eps, threads) for threads in (1, 2, 3)] == [want] * 3, (i, t, eps)
+        assert in_band >= 2 * len(sets)
+
+    @pytest.mark.parametrize("kind", [EUCLIDEAN, PARABOLOID_BODY])
+    def test_unsplit_segment_peaks(self, kind):
+        # 3,000 points on one float, or on two neighbouring floats 2^-53
+        # apart: one k-d segment that cannot be split, whose rows are filled
+        # in runs of 21 against all 3,000 points, not in 3000 x 3000 r^2 and
+        # difference buffers (72 MB each)
+        g = Gauge(kind, 2)
+        for floats, t, want in [(1, 1.0, 0), (2, 2.0**-53, 2 * 1500 * 1500)]:
+            rows = tuple((2**80 + (k % floats) * 2**28 + k, 0) for k in range(3000))
+            pset = PointSet(dim=2, denominators=(2**81, 1), numerators=rows)
+            assert len(set(pset.to_floats()[:, 0].tolist())) == floats
+            assert np.diff(segment_boxes(pset.to_floats())[1]).tolist() == [3000]
+            assert tiles(pset, g, t, 0.0) == want
+            for method, threads in [("brute", 1), ("brute", 3), ("grid", 1)]:
+                tracemalloc.start()
+                try:
+                    count = annulus_incidences(pset, g, t, 0.0, method=method, threads=threads).count
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert count == want and peak < 8 * 2**20, (floats, method, threads, peak)
+
     def test_brute_peaks_hold_tiles(self):
-        # each worker holds one r^2 tile and its difference buffer, 2 x 512
-        # KiB; one 2048 x 4096 r^2 chunk alone would be 64 MiB
+        # each worker holds one r^2 tile or block and its difference buffer,
+        # 2 x 512 KiB; one 2048 x 4096 r^2 chunk alone would be 64 MiB; the
+        # all-pairs band keeps every pair of segments
         pts = gen_lenz(4096).to_floats()
         runs = [lambda threads: _brute_pair_sum(pts, 1.5, threads)]
-        runs += [lambda threads, g=Gauge(kind, 4): _annulus_brute(pts, g, 1.0, 0.05, threads) for kind in (EUCLIDEAN, PARABOLOID_BODY)]
+        runs += [
+            lambda threads, g=Gauge(kind, 4), band=band: _annulus_grid(pts, g, *band, threads)
+            for kind in (EUCLIDEAN, PARABOLOID_BODY)
+            for band in ((1.0, 0.05), (1e-6, 10.0))
+        ]
         for run in runs:
             for threads in (1, 2):
                 tracemalloc.start()
